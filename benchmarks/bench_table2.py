@@ -35,12 +35,7 @@ def _stream(n, seed=0):
 def test_bench_update_cost(benchmark, method):
     warm = _stream(D + N_POINTS)
     det = make_detector(method, **PARAMS[method])
-    for x in warm[:D]:
-        det.update(float(x))
+    det.feed(warm[:D])
     chunk = warm[D:]
 
-    def run():
-        for x in chunk:
-            det.update(float(x))
-
-    benchmark.pedantic(run, rounds=3, iterations=1)
+    benchmark.pedantic(det.feed, args=(chunk,), rounds=3, iterations=1)

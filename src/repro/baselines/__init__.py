@@ -15,27 +15,11 @@ from repro.baselines.floss import FLOSS
 from repro.baselines.hddm import HDDM
 from repro.baselines.newma import NEWMA
 from repro.baselines.window import WindowSegmenter
-from repro.core.class_stream import ClaSS, ClaSSConfig
-
-
-class ClaSSDetector(StreamingDetector):
-    """ClaSS behind the common detector interface; keyword args map to
-    :class:`~repro.core.class_stream.ClaSSConfig` fields."""
-
-    def __init__(self, **cfg) -> None:
-        super().__init__()
-        self._cls = ClaSS(ClaSSConfig(**cfg))
-
-    @property
-    def width(self) -> int | None:
-        return self._cls.width
-
-    def _step(self, x: float) -> int | None:
-        return self._cls.update(x)
-
+# ClaSS registers itself as "class": its module imports this package, so
+# it cannot be imported by name here.
+import repro.core.class_stream  # noqa: F401
 
 DETECTOR_REGISTRY.update({
-    "class": ClaSSDetector,
     "floss": FLOSS,
     "window": WindowSegmenter,
     "changefinder": ChangeFinder,
@@ -47,7 +31,7 @@ DETECTOR_REGISTRY.update({
 })
 
 __all__ = [
-    "ADWIN", "BOCD", "ChangeFinder", "ClaSSDetector", "DDM",
+    "ADWIN", "BOCD", "ChangeFinder", "DDM",
     "DETECTOR_REGISTRY", "ErrorStream", "FLOSS", "HDDM", "NEWMA",
     "StreamingDetector", "WindowSegmenter", "make_detector",
 ]

@@ -1,11 +1,13 @@
 """Common streaming-detector interface and shared adapters.
 
-Every competitor from the paper's Table 2 implements
-:class:`StreamingDetector`: one ``update(x)`` call per arriving value,
-returning the absolute stream position of a newly detected change point
-(or ``None``).  ``run(series)`` streams a finite array, which is exactly
-how the paper evaluates ("we simulated the streaming setting by
-processing one data point at a time").
+ClaSS and every competitor from the paper's Table 2 implement
+:class:`StreamingDetector`.  ``feed(values)`` ingests values in order,
+one at a time, and returns every change point they produced; this is
+exactly how the paper evaluates ("we simulated the streaming setting by
+processing one data point at a time"), and it is the one loop that the
+standalone runs, the harnesses and both Spark planes call.
+``run(series)`` feeds a whole finite series and returns all change
+points.
 
 ``ErrorStream`` adapts raw values into the binary error stream consumed
 by the drift detectors (DDM/HDDM), which monitor a model's error rate.
@@ -34,9 +36,15 @@ class StreamingDetector(ABC):
 
     @abstractmethod
     def _step(self, x: float) -> int | None:
-        """Process one value; return a CP position or None."""
+        """Process one value; return a CP position or None.  A step
+        that finds several CPs appends all but the latest to
+        :attr:`change_points` itself."""
 
     def update(self, x: float) -> int | None:
+        """Ingest one value; return the latest CP of this step, or None.
+        One value can produce several CPs (ClaSS's warm-up replay), all
+        of which enter :attr:`change_points`; :meth:`feed` is the
+        lossless entry point that returns every one of them."""
         cp = self._step(float(x))
         self.pos += 1
         if cp is not None:
@@ -44,9 +52,17 @@ class StreamingDetector(ABC):
             return int(cp)
         return None
 
+    def feed(self, values) -> list[int]:
+        """Ingest ``values`` in order; return every CP added to
+        :attr:`change_points` meanwhile."""
+        n = len(self.change_points)
+        for x in np.asarray(values, dtype=np.float64).tolist():
+            self.update(x)
+        return self.change_points[n:]
+
     def run(self, series: np.ndarray) -> list[int]:
-        for x in np.asarray(series, dtype=np.float64):
-            self.update(float(x))
+        """Feed a whole series; return all CPs found so far."""
+        self.feed(series)
         return list(self.change_points)
 
 

@@ -9,15 +9,17 @@ predicted labels is significant.
 The object is deliberately free of any Spark dependency so the same
 state machine drives the standalone evaluation (paper Section 4.3), the
 batch-parallel ``applyInPandas`` harness, and the Structured Streaming
-stateful operator (the paper's Flink window operator, Section 4.4) — it
-is picklable between micro-batches.
+stateful operator (the paper's Flink window operator, Section 4.4) — all
+three through :meth:`~repro.baselines.base.StreamingDetector.feed` — and
+it is picklable between micro-batches.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.baselines.base import DETECTOR_REGISTRY, StreamingDetector
 from repro.core.scoring import cross_val_scores, split_label_counts
 from repro.core.significance import resampled_rank_sum_test
 from repro.core.streaming_knn import StreamingKNN
@@ -49,34 +51,28 @@ class ClaSSConfig:
     # k-NN warms up) manufacture statistically significant but
     # meaningless splits right at the region border.
     excl_factor: int = 5
-    # Score the window only every `stride` points (1 = paper-exact).
-    stride: int = 1
     w_lbound: int = 10
     w_ubound: int | None = None       # None -> d // 10
 
 
-@dataclass
-class ClaSS:
-    """Streaming segmentation state machine.
+class ClaSS(StreamingDetector):
+    """Streaming segmentation state machine, registered as ``"class"``.
 
-    Call :meth:`update` once per arriving value; it returns the absolute
-    stream position of a newly detected change point, or ``None``.
+    Build it as ``ClaSS(ClaSSConfig(d=...))`` or, as
+    :func:`~repro.baselines.base.make_detector` does, from
+    :class:`ClaSSConfig` fields: ``ClaSS(d=...)``.
     """
 
-    config: ClaSSConfig = field(default_factory=ClaSSConfig)
-
-    def __post_init__(self) -> None:
-        cfg = self.config
+    def __init__(self, config: ClaSSConfig | None = None, **params) -> None:
+        super().__init__()
+        self.config = cfg = replace(config or ClaSSConfig(), **params)
         self._warmup: list[float] = []
         self._knn: StreamingKNN | None = None
         self._w: int | None = cfg.w
         # Window-relative subsequence index where the unsegmented region
         # starts (the last CP); 0 = the whole window is unsegmented.
         self._region_start = 0
-        self._pos = 0
         self._rng = np.random.default_rng(cfg.seed)
-        self._pending_cp: int | None = None
-        self.change_points: list[int] = []
 
     # ------------------------------------------------------------------
     @property
@@ -84,38 +80,31 @@ class ClaSS:
         """The learned (or configured) subsequence width."""
         return self._w
 
-    def run(self, series: np.ndarray) -> list[int]:
-        """Convenience: stream a finite series, return all CPs."""
-        for x in np.asarray(series, dtype=np.float64):
-            self.update(float(x))
-        return list(self.change_points)
-
     # ------------------------------------------------------------------
-    def update(self, x: float) -> int | None:
+    def _step(self, x: float) -> int | None:
+        if self._knn is not None:
+            return self._ingest(x)
+        # Warm-up: buffer the first d points, learn w, then replay
+        # them through the pipeline (paper Section 3.4: "processes
+        # the stream from the first observation onward").
         cfg = self.config
-        if self._knn is None:
-            # Warm-up: buffer the first d points, learn w, then replay
-            # them through the pipeline (paper Section 3.4: "processes
-            # the stream from the first observation onward").
-            self._warmup.append(float(x))
-            if len(self._warmup) < cfg.d:
-                return None
-            sample = np.asarray(self._warmup, dtype=np.float64)
-            if self._w is None:
-                ubound = cfg.w_ubound or max(cfg.w_lbound + 1, cfg.d // 10)
-                self._w = max(3, learn_width(
-                    sample, method=cfg.wss,
-                    lbound=cfg.w_lbound, ubound=ubound))
-            self._w = min(self._w, max(3, cfg.d // 4))
-            self._knn = StreamingKNN(cfg.d, self._w, cfg.k)
-            cp = None
-            for v in self._warmup:
-                got = self._ingest(v)
-                if got is not None:
-                    cp = got  # only the latest matters for the caller
-            self._warmup = []
-            return cp
-        return self._ingest(float(x))
+        self._warmup.append(x)
+        if len(self._warmup) < cfg.d:
+            return None
+        sample = np.asarray(self._warmup, dtype=np.float64)
+        if self._w is None:
+            ubound = cfg.w_ubound or max(cfg.w_lbound + 1, cfg.d // 10)
+            self._w = max(3, learn_width(
+                sample, method=cfg.wss,
+                lbound=cfg.w_lbound, ubound=ubound))
+        self._w = min(self._w, max(3, cfg.d // 4))
+        self._knn = StreamingKNN(cfg.d, self._w, cfg.k)
+        replay, self._warmup = self._warmup, []
+        found = [cp for v in replay if (cp := self._ingest(v)) is not None]
+        # The replay can find several CPs: all but the latest are
+        # recorded here, the latest is returned like any other.
+        self.change_points.extend(found[:-1])
+        return found[-1] if found else None
 
     # ------------------------------------------------------------------
     def _ingest(self, x: float) -> int | None:
@@ -125,7 +114,6 @@ class ClaSS:
         w = self._w
         at_capacity = len(knn.win) == knn.d
         knn.update(x)
-        self._pos += 1
         if at_capacity and self._region_start > 0:
             # Account for the shift of the window (paper Alg. 1 line 6).
             self._region_start -= 1
@@ -135,8 +123,6 @@ class ClaSS:
         margin = cfg.excl_factor * w
         valid_lo, valid_hi = margin, region - margin  # s in [lo, hi]
         if valid_hi < valid_lo or m_total < 2:
-            return None
-        if cfg.stride > 1 and self._pos % cfg.stride:
             return None
 
         offsets = knn.relative_offsets()[self._region_start:]
@@ -156,7 +142,8 @@ class ClaSS:
             return None
         # CP in window time coordinates: region_start + s + w - 1
         cp_window = self._region_start + s_best + w - 1
-        cp_abs = knn.start_abs + cp_window
         self._region_start = cp_window
-        self.change_points.append(cp_abs)
-        return cp_abs
+        return knn.start_abs + cp_window
+
+
+DETECTOR_REGISTRY["class"] = ClaSS

@@ -59,12 +59,9 @@ def _measure_cell(method: str, d: int, n_points: int, seed: int) -> float:
     t = np.arange(n_points + d)
     series = np.sin(2 * np.pi * t / 29) + 0.2 * rng.standard_normal(len(t))
     det = make_detector(method, **_SWEEP_PARAM[method](d))
-    warm = series[:d]
-    for x in warm:
-        det.update(float(x))
+    det.feed(series[:d])
     t0 = time.perf_counter()
-    for x in series[d:]:
-        det.update(float(x))
+    det.feed(series[d:])
     return (time.perf_counter() - t0) / n_points
 
 

@@ -58,7 +58,7 @@ def standalone_throughput(methods: dict[str, dict], n: int = 8000,
     for name, params in methods.items():
         det = make_detector(name, **params)
         t0 = time.perf_counter()
-        det.run(series)
+        det.feed(series)
         el = time.perf_counter() - t0
         rows.append({"method": name, "points_per_sec": round(n / el, 1),
                      "total_sec": round(el, 3)})
@@ -91,7 +91,7 @@ def sweep_window_size(ds=(500, 1000, 2000), n: int = 8000,
     for d in ds:
         cls = ClaSS(ClaSSConfig(d=int(d)))
         t0 = time.perf_counter()
-        pred = cls.run(series)
+        pred = cls.feed(series)
         el = time.perf_counter() - t0
         rows.append({"d": int(d),
                      "points_per_sec": round(n / el, 1),

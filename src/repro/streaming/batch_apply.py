@@ -3,8 +3,9 @@
 The paper evaluates every method by "processing one data point at a
 time" over 592 independent series.  Here each series is one Spark group:
 ``applyInPandas`` ships the group's (ordered) values to a worker, which
-drives the per-point detector state machine and returns the detected
-change points plus wall-clock timing — giving the per-series runtime and
+passes them to the detector's ``feed`` (one value at a time, exactly
+like the standalone run) and returns the detected change points plus
+wall-clock timing — giving the per-series runtime and
 throughput measurements of paper Section 4.4 for free.
 
 Detectors are rebuilt on the worker from a ``(name, params)`` pair via
@@ -20,20 +21,12 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-__all__ = ["segment_corpus_spark", "run_detector_series", "RESULT_SCHEMA"]
+__all__ = ["segment_corpus_spark", "RESULT_SCHEMA"]
 
 # cp == -1 is a per-series sentinel row that carries timing even when a
 # series produced no change points.
 RESULT_SCHEMA = ("collection string, dataset string, series_id string, "
                  "cp long, n long, elapsed double")
-
-
-def run_detector_series(values: np.ndarray, name: str, params: dict) -> list[int]:
-    """Drive one detector over one series (worker-side helper)."""
-    from repro.baselines.base import make_detector
-
-    det = make_detector(name, **params)
-    return det.run(np.asarray(values, dtype=np.float64))
 
 
 def segment_corpus_spark(
@@ -48,13 +41,14 @@ def segment_corpus_spark(
     per_series = per_series_params or {}
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
+        from repro.baselines.base import make_detector
+
         pdf = pdf.sort_values("t")
         sid = pdf["series_id"].iloc[0]
-        p = dict(params)
-        p.update(per_series.get(sid, {}))
         vals = pdf["value"].to_numpy(dtype=np.float64)
         t0 = time.perf_counter()
-        cps = run_detector_series(vals, detector, p)
+        det = make_detector(detector, **{**params, **per_series.get(sid, {})})
+        cps = det.feed(vals)
         elapsed = time.perf_counter() - t0
         return pd.DataFrame({
             "collection": pdf["collection"].iloc[0],

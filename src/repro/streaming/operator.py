@@ -4,10 +4,10 @@ The paper ships ClaSS as an Apache Flink *window operator* (Section
 4.4); this module is the Spark port (DESIGN.md substitution S2): a
 ``groupBy(series_id).applyInPandasWithState`` transformation whose state
 is the pickled :class:`~repro.core.class_stream.ClaSS` machine.  Each
-micro-batch feeds its points — sorted by timestamp within the batch —
-through the per-point update; detected change points are appended to the
-sink as they occur, exactly like the Flink operator's output stream of
-CPs.
+pandas frame of a micro-batch is sorted by timestamp and passed to
+``ClaSS.feed``, the same one-value-at-a-time loop as the standalone run;
+every change point it returns is appended to the sink, exactly like the
+Flink operator's output stream of CPs.
 
 In-order delivery across micro-batches is the caller's contract (as it
 is Flink's): :func:`write_stream_chunks` materialises a series as
@@ -48,19 +48,15 @@ def class_cp_stream(stream_df: DataFrame, **class_config) -> DataFrame:
     :class:`~repro.core.class_stream.ClaSSConfig` (e.g. ``d=1000``)."""
 
     def fn(key, pdf_iter: Iterator[pd.DataFrame], state: GroupState):
-        from repro.core.class_stream import ClaSS, ClaSSConfig
+        from repro.core.class_stream import ClaSS
 
         if state.exists:
             cls = pickle.loads(state.get[0])
         else:
-            cls = ClaSS(ClaSSConfig(**class_config))
+            cls = ClaSS(**class_config)
         cps: list[int] = []
         for pdf in pdf_iter:
-            pdf = pdf.sort_values("t")
-            for v in pdf["value"].to_numpy(dtype=np.float64):
-                cp = cls.update(float(v))
-                if cp is not None:
-                    cps.append(int(cp))
+            cps += cls.feed(pdf.sort_values("t")["value"])
         state.update((pickle.dumps(cls),))
         yield pd.DataFrame({"series_id": key[0], "cp": cps})
 

@@ -74,3 +74,18 @@ def test_deterministic(name):
 def test_constant_stream_silent(name):
     det = make_detector(name, **PARAMS[name])
     assert det.run(np.ones(1500)) == []
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_chunked_feed_is_lossless(name):
+    """``feed`` over uneven chunks returns every CP exactly once, in the
+    same order as ``change_points`` and a one-shot ``run``."""
+    series = _shift_series(seed=4)
+    det = make_detector(name, **PARAMS[name])
+    bounds = [0, 1, 7, 450, 601, 1599, 1600, 2333, len(series)]
+    fed = [det.feed(series[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    got = [cp for chunk in fed for cp in chunk]
+    assert got  # every detector finds the shift at 1600
+    assert got == det.change_points
+    assert got == make_detector(name, **PARAMS[name]).run(series)
+    assert det.pos == len(series)

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import make_detector
-from repro.datasets.archives import CollectionSpec, corpus_to_spark, make_corpus
-from repro.streaming.batch_apply import run_detector_series, segment_corpus_spark
+from repro.datasets.archives import (CollectionSpec, TSRecord, corpus_to_spark,
+                                     make_corpus)
+from repro.streaming.batch_apply import segment_corpus_spark
+from tests.core.test_class_stream import WARMUP_CPS, warmup_cp_series
 
 TINY = (CollectionSpec("tiny-bench", "benchmark", 3, (1500, 2500), (2, 3),
                        (0.05, 0.1)),)
@@ -24,10 +26,20 @@ def test_parallel_equals_sequential(spark, tiny_corpus, method, params):
     df = corpus_to_spark(spark, tiny_corpus)
     res = segment_corpus_spark(df, method, params)
     for rec in tiny_corpus:
-        expected = run_detector_series(rec.values, method, params)
+        det = make_detector(method, **params)
+        det.run(rec.values)
+        expected = det.change_points
         got = sorted(int(c) for c in
                      res[(res.series_id == rec.series_id) & (res.cp >= 0)]["cp"])
         assert got == expected, rec.series_id
+
+
+def test_warmup_change_points_reach_the_batch_plane(spark):
+    rec = TSRecord("benchmark", "warmup", "w0", warmup_cp_series(),
+                   WARMUP_CPS, 20)
+    res = segment_corpus_spark(corpus_to_spark(spark, [rec]), "class",
+                               {"d": 1000})
+    assert sorted(int(c) for c in res[res.cp >= 0]["cp"]) == WARMUP_CPS
 
 
 def test_sentinel_row_always_present(spark, tiny_corpus):

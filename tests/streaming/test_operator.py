@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.class_stream import ClaSS, ClaSSConfig
 from repro.streaming.operator import (run_file_stream, write_stream_chunks)
+from tests.core.test_class_stream import WARMUP_CPS, warmup_cp_series
 
 
 def _series(seed=0, n=1400):
@@ -23,6 +24,16 @@ def test_operator_equals_standalone_single_series(spark, tmp_path):
     offline = ClaSS(ClaSSConfig(d=800)).run(s)
     assert offline  # the fixture signal must contain a detectable CP
     assert out["cp"].tolist() == offline
+
+
+def test_operator_emits_warmup_change_points(spark, tmp_path):
+    """The micro-batch that completes the warm-up must emit every CP the
+    replay finds, not only the latest."""
+    s = warmup_cp_series()
+    write_stream_chunks("w", s, str(tmp_path / "in"), n_chunks=3)
+    out = run_file_stream(spark, str(tmp_path / "in"),
+                          str(tmp_path / "ckpt"), d=1000)
+    assert out["cp"].tolist() == WARMUP_CPS
 
 
 def test_operator_multiple_series_keyed_state(spark, tmp_path):
