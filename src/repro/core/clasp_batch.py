@@ -22,10 +22,9 @@ from repro.core.streaming_knn import batch_knn
 __all__ = ["clasp_profile"]
 
 
-def clasp_profile(ts: np.ndarray, w: int, k: int = 3,
-                  score: str = "f1") -> np.ndarray:
+def clasp_profile(ts: np.ndarray, w: int, k: int = 3) -> np.ndarray:
     """ClaSP over all splits of ``ts``: entry ``i`` scores the split
     with ``i + 1`` subsequences on the left (class 0)."""
     ts = np.asarray(ts, dtype=np.float64)
     _, N = batch_knn(ts, w, k)
-    return cross_val_scores_naive(N, score=score)
+    return cross_val_scores_naive(N)

@@ -23,36 +23,38 @@ from repro.baselines.base import DETECTOR_REGISTRY, StreamingDetector
 from repro.core.scoring import cross_val_scores, split_label_counts
 from repro.core.significance import resampled_rank_sum_test
 from repro.core.streaming_knn import StreamingKNN
-from repro.core.suss import learn_width
+# Bound under the name ``learn_width`` and called through it (like the
+# three kernels above) so timing wrappers can patch it on this module.
+from repro.core.suss import suss as learn_width
 
 __all__ = ["ClaSS", "ClaSSConfig"]
+
+# ClaSS's fixed settings; DESIGN.md §3 gives the paper section of each.
+K = 3                  # neighbours per subsequence
+P_THRESHOLD = 1e-50    # significance level of the rank-sum test
+SAMPLE_SIZE = 1000     # labels resampled per test
+SEED = 2357            # seed of the resampling generator
+# CP candidates must keep `EXCL_FACTOR * w` subsequences on each side of
+# the split.  The ClaSP family uses an exclusion radius of 5 subsequence
+# widths around candidate CPs; without it, the first few rows (whose
+# neighbours are biased to low offsets while the k-NN warms up)
+# manufacture statistically significant but meaningless splits right at
+# the region border.
+EXCL_FACTOR = 5
+# SuSS searches w in [W_LBOUND, max(W_LBOUND + 1, d // 10)].
+W_LBOUND = 10
 
 
 @dataclass
 class ClaSSConfig:
-    """Hyper- and model-parameters of ClaSS (paper Section 4.2 defaults).
+    """Parameters of ClaSS (paper Section 4.2).
 
-    ``d`` is the only true hyper-parameter (sliding window size); ``w``
-    is learned from the first ``d`` observations unless given.
+    ``d`` is the only hyper-parameter (sliding window size); ``w`` is
+    learned with SuSS from the first ``d`` observations unless given.
     """
 
     d: int = 10_000
-    k: int = 3
-    w: int | None = None              # None -> learn via `wss` on warm-up
-    wss: str = "suss"
-    score: str = "f1"
-    p_threshold: float = 1e-50
-    sample_size: int | None = 1000
-    seed: int = 2357
-    # CP candidates must keep `excl_factor * w` subsequences on each
-    # side of the split.  The ClaSP family uses an exclusion radius of
-    # 5 subsequence widths around candidate CPs; without it, the first
-    # few rows (whose neighbours are biased to low offsets while the
-    # k-NN warms up) manufacture statistically significant but
-    # meaningless splits right at the region border.
-    excl_factor: int = 5
-    w_lbound: int = 10
-    w_ubound: int | None = None       # None -> d // 10
+    w: int | None = None              # None -> learn via SuSS on warm-up
 
 
 class ClaSS(StreamingDetector):
@@ -60,19 +62,25 @@ class ClaSS(StreamingDetector):
 
     Build it as ``ClaSS(ClaSSConfig(d=...))`` or, as
     :func:`~repro.baselines.base.make_detector` does, from
-    :class:`ClaSSConfig` fields: ``ClaSS(d=...)``.
+    :class:`ClaSSConfig` fields: ``ClaSS(d=...)``.  Raises ``ValueError``
+    for ``d < 6`` or a given ``w < 3``, the smallest window and width
+    the k-NN accepts.
     """
 
     def __init__(self, config: ClaSSConfig | None = None, **params) -> None:
         super().__init__()
         self.config = cfg = replace(config or ClaSSConfig(), **params)
+        if cfg.d < 6:
+            raise ValueError(f"window size d must be >= 6, got {cfg.d}")
+        if cfg.w is not None and cfg.w < 3:
+            raise ValueError(f"subsequence width w must be >= 3, got {cfg.w}")
         self._warmup: list[float] = []
         self._knn: StreamingKNN | None = None
         self._w: int | None = cfg.w
         # Window-relative subsequence index where the unsegmented region
         # starts (the last CP); 0 = the whole window is unsegmented.
         self._region_start = 0
-        self._rng = np.random.default_rng(cfg.seed)
+        self._rng = np.random.default_rng(SEED)
 
     # ------------------------------------------------------------------
     @property
@@ -93,12 +101,11 @@ class ClaSS(StreamingDetector):
             return None
         sample = np.asarray(self._warmup, dtype=np.float64)
         if self._w is None:
-            ubound = cfg.w_ubound or max(cfg.w_lbound + 1, cfg.d // 10)
             self._w = max(3, learn_width(
-                sample, method=cfg.wss,
-                lbound=cfg.w_lbound, ubound=ubound))
+                sample, lbound=W_LBOUND,
+                ubound=max(W_LBOUND + 1, cfg.d // 10)))
         self._w = min(self._w, max(3, cfg.d // 4))
-        self._knn = StreamingKNN(cfg.d, self._w, cfg.k)
+        self._knn = StreamingKNN(cfg.d, self._w, K)
         replay, self._warmup = self._warmup, []
         found = [cp for v in replay if (cp := self._ingest(v)) is not None]
         # The replay can find several CPs: all but the latest are
@@ -108,7 +115,6 @@ class ClaSS(StreamingDetector):
 
     # ------------------------------------------------------------------
     def _ingest(self, x: float) -> int | None:
-        cfg = self.config
         knn = self._knn
         assert knn is not None and self._w is not None
         w = self._w
@@ -119,15 +125,15 @@ class ClaSS(StreamingDetector):
             self._region_start -= 1
         m_total = knn.n_subseqs
         region = m_total - self._region_start
-        # Valid splits keep excl_factor*w subsequences on both sides.
-        margin = cfg.excl_factor * w
+        # Valid splits keep EXCL_FACTOR*w subsequences on both sides.
+        margin = EXCL_FACTOR * w
         valid_lo, valid_hi = margin, region - margin  # s in [lo, hi]
         if valid_hi < valid_lo or m_total < 2:
             return None
 
         offsets = knn.relative_offsets()[self._region_start:]
         offsets = offsets - self._region_start  # region-relative
-        profile = cross_val_scores(offsets, score=cfg.score)
+        profile = cross_val_scores(offsets)
         if profile.size == 0:
             return None
         window_scores = profile[valid_lo - 1:valid_hi]
@@ -137,8 +143,8 @@ class ClaSS(StreamingDetector):
 
         l0, l1, r0, r1 = split_label_counts(offsets, s_best)
         p = resampled_rank_sum_test(
-            l0, l1, r0, r1, sample_size=cfg.sample_size, rng=self._rng)
-        if p > cfg.p_threshold:
+            l0, l1, r0, r1, sample_size=SAMPLE_SIZE, rng=self._rng)
+        if p > P_THRESHOLD:
             return None
         # CP in window time coordinates: region_start + s + w - 1
         cp_window = self._region_start + s_best + w - 1

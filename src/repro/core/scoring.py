@@ -2,8 +2,8 @@
 
 Implements Algorithm 3 of the ClaSS paper: given the k-NN offsets of the
 ``m`` subsequences in the (unsegmented suffix of the) sliding window,
-compute for every hypothetical split the macro F1 (or accuracy) of the
-self-supervised k-NN classifier, in ``O(m)`` total.
+compute for every hypothetical split the macro F1 of the self-supervised
+k-NN classifier, in ``O(m)`` total.
 
 Split convention
 ----------------
@@ -64,15 +64,13 @@ def _f1(tp: np.ndarray, pred_pos: np.ndarray, true_pos) -> np.ndarray:
     return f
 
 
-def cross_val_scores(offsets: np.ndarray, score: str = "f1") -> np.ndarray:
-    """ClaSP profile over all splits ``s = 1 .. m-1`` in ``O(m)``.
+def cross_val_scores(offsets: np.ndarray) -> np.ndarray:
+    """Macro-F1 ClaSP profile over all splits ``s = 1 .. m-1`` in ``O(m)``.
 
     Parameters
     ----------
     offsets:
         ``(m, k)`` window-relative neighbour offsets (may be negative).
-    score:
-        ``"f1"`` (macro, paper default) or ``"accuracy"``.
 
     Returns
     -------
@@ -99,10 +97,6 @@ def cross_val_scores(offsets: np.ndarray, score: str = "f1") -> np.ndarray:
     tp0 = cum_below(hi).astype(np.float64)
     pred0 = cum_below(tc).astype(np.float64)
     tp1 = m - cum_below(lo).astype(np.float64)
-    if score == "accuracy":
-        return (tp0 + tp1) / m
-    if score != "f1":
-        raise ValueError(f"unknown score {score!r}")
     f1_0 = _f1(tp0, pred0, s)
     f1_1 = _f1(tp1, m - pred0, m - s)
     return 0.5 * (f1_0 + f1_1)
@@ -126,7 +120,7 @@ def split_label_counts(offsets: np.ndarray, s: int):
     return l0, l1, r0, r1
 
 
-def cross_val_scores_naive(offsets: np.ndarray, score: str = "f1") -> np.ndarray:
+def cross_val_scores_naive(offsets: np.ndarray) -> np.ndarray:
     """Independent per-split recomputation (no incremental state): the
     test oracle for :func:`cross_val_scores`.  O(m^2 * k)."""
     m, _ = offsets.shape
@@ -139,9 +133,6 @@ def cross_val_scores_naive(offsets: np.ndarray, score: str = "f1") -> np.ndarray
         y_pred = (ones > zeros).astype(int)      # ties -> class 0
         tp0 = int(np.sum((y_true == 0) & (y_pred == 0)))
         tp1 = int(np.sum((y_true == 1) & (y_pred == 1)))
-        if score == "accuracy":
-            out[s - 1] = (tp0 + tp1) / m
-            continue
         p0, n0 = int(np.sum(y_pred == 0)), s
         p1, n1 = m - p0, m - s
         f1_0 = 2 * tp0 / (p0 + n0) if (p0 + n0) else 1.0

@@ -3,7 +3,7 @@
 The global maximum of the ClaSP profile is accepted as a change point
 only if a two-sided Wilcoxon rank-sum test on the predicted
 cross-validation labels left vs right of the split rejects the null at a
-(very conservative, default 1e-50) significance level.
+(very conservative; ClaSS uses 1e-50) significance level.
 
 With *binary* samples the rank-sum statistic is a closed form of the
 2x2 (side x label) counts: all zeros share one midrank and all ones
@@ -59,8 +59,7 @@ def rank_sum_test(l0: int, l1: int, r0: int, r1: int) -> float:
 
 def resampled_rank_sum_test(
     l0: int, l1: int, r0: int, r1: int,
-    sample_size: int = 1000,
-    rng: np.random.Generator | None = None,
+    sample_size: int, rng: np.random.Generator,
 ) -> float:
     """Rank-sum p-value on a fixed-size resample of the labels.
 
@@ -68,14 +67,13 @@ def resampled_rank_sum_test(
     proportions are preserved exactly and each side's labels are drawn
     i.i.d. from that side's empirical label distribution (binomial
     draws — equivalent to with-replacement sampling of binary labels).
-    ``sample_size=None`` (or a sample larger than the data) falls back
-    to the exact counts, the paper's "variable" configuration.
+    A sample at least as large as the data falls back to the exact
+    counts.
     """
     nl, nr = l0 + l1, r0 + r1
     n = nl + nr
-    if sample_size is None or n <= sample_size or nl == 0 or nr == 0:
+    if n <= sample_size or nl == 0 or nr == 0:
         return rank_sum_test(l0, l1, r0, r1)
-    rng = rng if rng is not None else np.random.default_rng(0)
     nl_s = int(round(sample_size * nl / n))
     nl_s = min(max(nl_s, 1), sample_size - 1)
     nr_s = sample_size - nl_s

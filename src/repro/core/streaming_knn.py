@@ -102,10 +102,6 @@ class StreamingKNN:
         """Number of subsequences currently in the window."""
         return max(0, len(self.win) - self.w + 1)
 
-    def subsequence(self, j: int) -> np.ndarray:
-        """The ``j``-th (window-relative) subsequence's values."""
-        return self.win[j:j + self.w]
-
     def relative_offsets(self) -> np.ndarray:
         """Neighbour positions as window-relative subsequence indices.
 

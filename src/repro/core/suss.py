@@ -1,21 +1,20 @@
 """Subsequence width selection (paper Section 3.4).
 
 ClaSS learns the subsequence width ``w`` from the first ``d`` stream
-observations.  The default method is SuSS (Summary Statistics
-Subsequence, Ermshaus et al. 2023): the smallest window size whose local
-summary statistics (mean, std, min-max range) are sufficiently close to
-the global statistics of the sample, found by exponential + binary
-search — expected ``O(n log w)``.
-
-Two whole-series alternatives from the paper's ablation (which found no
-significant difference between WSS methods) are included: the dominant
-Fourier frequency (FFT) and the highest autocorrelation offset (ACF).
+observations with SuSS (Summary Statistics Subsequence, Ermshaus et al.
+2023): the smallest window size whose local summary statistics (mean,
+std, min-max range) are sufficiently close to the global statistics of
+the sample, found by exponential + binary search — expected
+``O(n log w)``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["suss", "dominant_fourier_frequency", "highest_autocorrelation", "learn_width"]
+__all__ = ["suss"]
+
+# A width is accepted once its normalised score drops to this fraction.
+THRESHOLD = 0.89
 
 
 def _suss_score(ts: np.ndarray, w: int, global_stats) -> float:
@@ -30,10 +29,9 @@ def _suss_score(ts: np.ndarray, w: int, global_stats) -> float:
     return float(dist.mean())
 
 
-def suss(ts: np.ndarray, lbound: int = 10, ubound: int | None = None,
-         threshold: float = 0.89) -> int:
+def suss(ts: np.ndarray, lbound: int = 10, ubound: int | None = None) -> int:
     """Smallest ``w`` whose normalised SuSS score drops to
-    ``threshold`` of the ``w=1`` score, via exponential then binary
+    ``THRESHOLD`` of the ``w=1`` score, via exponential then binary
     search over the (empirically monotone) score curve."""
     ts = np.asarray(ts, dtype=np.float64)
     n = len(ts)
@@ -56,65 +54,13 @@ def suss(ts: np.ndarray, lbound: int = 10, ubound: int | None = None,
 
     # exponential search for the first power of two below threshold
     lo, hi = lbound, lbound
-    while hi < ubound and norm_score(hi) > threshold:
+    while hi < ubound and norm_score(hi) > THRESHOLD:
         lo, hi = hi, min(hi * 2, ubound)
     # binary search in (lo, hi]
     while lo < hi:
         mid = (lo + hi) // 2
-        if norm_score(mid) > threshold:
+        if norm_score(mid) > THRESHOLD:
             lo = mid + 1
         else:
             hi = mid
     return max(3, lo)
-
-
-def dominant_fourier_frequency(ts: np.ndarray, lbound: int = 10,
-                               ubound: int | None = None) -> int:
-    """Window size = period of the largest-magnitude Fourier
-    coefficient within the admissible period band."""
-    ts = np.asarray(ts, dtype=np.float64)
-    n = len(ts)
-    ubound = min(ubound or n // 4, n - 1)
-    mags = np.abs(np.fft.rfft(ts - ts.mean()))
-    freqs = np.arange(len(mags))
-    best_w, best_mag = lbound, -1.0
-    for f in freqs[1:]:
-        w = int(round(n / f))
-        if lbound <= w <= ubound and mags[f] > best_mag:
-            best_mag, best_w = mags[f], w
-    return max(3, best_w)
-
-
-def highest_autocorrelation(ts: np.ndarray, lbound: int = 10,
-                            ubound: int | None = None) -> int:
-    """Window size = lag of the highest autocorrelation in the band."""
-    ts = np.asarray(ts, dtype=np.float64)
-    n = len(ts)
-    ubound = min(ubound or n // 4, n - 1)
-    x = ts - ts.mean()
-    acf = np.correlate(x, x, mode="full")[n - 1:]
-    if acf[0] <= 0:
-        return lbound
-    acf = acf / acf[0]
-    lo = min(lbound, n - 1)
-    hi = min(ubound + 1, n)
-    if hi <= lo:
-        return max(3, lo)
-    return max(3, int(lo + np.argmax(acf[lo:hi])))
-
-
-_METHODS = {
-    "suss": suss,
-    "fft": dominant_fourier_frequency,
-    "acf": highest_autocorrelation,
-}
-
-
-def learn_width(ts: np.ndarray, method: str = "suss", lbound: int = 10,
-                ubound: int | None = None) -> int:
-    """Dispatch to a WSS method by name (paper default: SuSS)."""
-    try:
-        fn = _METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown WSS method {method!r}; choose from {sorted(_METHODS)}")
-    return fn(np.asarray(ts, dtype=np.float64), lbound=lbound, ubound=ubound)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 __all__ = ["segments_from_cps", "covering"]
 
 
@@ -47,9 +45,3 @@ def covering(true_cps: Sequence[int], pred_cps: Sequence[int], n: int) -> float:
             best = max(best, inter / union)
         total += (te - ts) * best
     return total / n
-
-
-def covering_frame(rows) -> "np.ndarray":
-    """Vector of covering scores for an iterable of
-    ``(true_cps, pred_cps, n)`` triples (harness convenience)."""
-    return np.array([covering(t, p, n) for t, p, n in rows])

@@ -139,10 +139,11 @@ def test_change_points_strictly_increasing_and_in_range():
     assert all(0 < c < len(series) for c in cps)
 
 
-def test_accuracy_score_variant_runs():
-    rng = np.random.default_rng(12)
-    series = np.concatenate([
-        _wave("sine", 2500, 20, rng), _wave("square", 2500, 30, rng)])
-    cls = ClaSS(ClaSSConfig(d=1000, score="accuracy"))
-    cps = cls.run(series)
-    assert any(abs(c - 2500) <= 250 for c in cps)
+@pytest.mark.parametrize("params,error", [
+    ({"d": 5}, ValueError),
+    ({"d": 100, "w": 2}, ValueError),
+    ({"score": "accuracy"}, TypeError),   # not a ClaSSConfig field
+], ids=["d-too-small", "w-too-small", "removed-field"])
+def test_unusable_config_fails_at_construction(params, error):
+    with pytest.raises(error):
+        ClaSS(**params)

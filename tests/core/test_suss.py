@@ -1,9 +1,7 @@
 """Tests for subsequence-width learning (paper Section 3.4)."""
 import numpy as np
-import pytest
 
-from repro.core.suss import (dominant_fourier_frequency,
-                             highest_autocorrelation, learn_width, suss)
+from repro.core.suss import suss
 
 
 def _sine(period, n=2000, noise=0.05, seed=0):
@@ -11,21 +9,8 @@ def _sine(period, n=2000, noise=0.05, seed=0):
     return np.sin(2 * np.pi * np.arange(n) / period) + noise * rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("period", [16, 25, 40])
-def test_fft_finds_period(period):
-    w = dominant_fourier_frequency(_sine(period), lbound=5, ubound=200)
-    assert abs(w - period) <= max(2, period // 10)
-
-
-@pytest.mark.parametrize("period", [16, 25, 40])
-def test_acf_finds_period(period):
-    w = highest_autocorrelation(_sine(period), lbound=5, ubound=200)
-    assert abs(w - period) <= max(2, period // 10)
-
-
-@pytest.mark.parametrize("method", ["suss", "fft", "acf"])
-def test_learn_width_within_bounds(method):
-    w = learn_width(_sine(30), method=method, lbound=5, ubound=150)
+def test_learn_width_within_bounds():
+    w = suss(_sine(30), lbound=5, ubound=150)
     assert 3 <= w <= 150
 
 
@@ -45,11 +30,6 @@ def test_suss_short_series():
     assert 3 <= w <= 20
 
 
-def test_learn_width_unknown_method_raises():
-    with pytest.raises(ValueError):
-        learn_width(_sine(20), method="magic")
-
-
 def test_learn_width_deterministic():
     s = _sine(25, seed=3)
-    assert learn_width(s) == learn_width(s)
+    assert suss(s) == suss(s)
