@@ -21,6 +21,10 @@ from repro.baselines.base import StreamingDetector
 
 __all__ = ["ADWIN"]
 
+MAX_BUCKETS = 5   # M: buckets kept per power-of-two size
+MIN_N = 32        # values in the window before cuts are checked
+EXCL = 32         # minimum distance between two reported CPs
+
 
 class _Bucket:
     __slots__ = ("total", "variance", "count")
@@ -32,13 +36,9 @@ class _Bucket:
 
 
 class ADWIN(StreamingDetector):
-    def __init__(self, delta: float = 0.01, max_buckets: int = 5,
-                 min_n: int = 32, excl: int = 32) -> None:
+    def __init__(self, delta: float = 0.01) -> None:
         super().__init__()
         self.delta = delta
-        self.M = max_buckets
-        self.min_n = min_n
-        self.excl = excl
         # rows[i] holds buckets of count 2^i, newest first.
         self.rows: list[list[_Bucket]] = [[]]
         self.n = 0
@@ -57,7 +57,7 @@ class ADWIN(StreamingDetector):
         self.total += x
         self.rows[0].insert(0, _Bucket(x, 0.0, 1))
         row = 0
-        while len(self.rows[row]) > self.M:
+        while len(self.rows[row]) > MAX_BUCKETS:
             if row + 1 == len(self.rows):
                 self.rows.append([])
             b2, b1 = self.rows[row][-1], self.rows[row][-2]
@@ -104,11 +104,11 @@ class ADWIN(StreamingDetector):
         span = self._hi - self._lo
         v = (x - self._lo) / span if span > 1e-12 else 0.5
         self._insert(v)
-        if self.n < self.min_n:
+        if self.n < MIN_N:
             return None
         cp = None
         shrunk = True
-        while shrunk and self.n >= self.min_n:
+        while shrunk and self.n >= MIN_N:
             shrunk = False
             sigma2 = self.variance / self.n
             dprime = self.delta / max(self.n, 2)
@@ -130,7 +130,7 @@ class ADWIN(StreamingDetector):
                     self._drop_oldest()
                     shrunk = True
                     if (cp is None
-                            and boundary - self._last_cp > self.excl):
+                            and boundary - self._last_cp > EXCL):
                         cp = boundary
                         self._last_cp = boundary
                     break

@@ -26,6 +26,9 @@ import numpy as np
 
 __all__ = ["StreamingDetector", "ErrorStream", "DETECTOR_REGISTRY", "make_detector"]
 
+Z_THRESH = 2.0  # ErrorStream: an error is a deviation of > Z_THRESH stds
+MIN_N = 10      # ErrorStream: values seen before any error is flagged
+
 
 class StreamingDetector(ABC):
     """One-value-at-a-time change point detector."""
@@ -69,15 +72,13 @@ class StreamingDetector(ABC):
 class ErrorStream:
     """Self-supervised binary error stream for drift detectors.
 
-    ``push(x)`` returns 1 when ``x`` deviates more than ``z_thresh``
+    ``push(x)`` returns 1 when ``x`` deviates more than ``Z_THRESH``
     running standard deviations from the running mean (Welford), else 0.
     ``reset()`` restarts the statistics (called on detected drift, so a
     new concept is learned from scratch).
     """
 
-    def __init__(self, z_thresh: float = 2.0, min_n: int = 10) -> None:
-        self.z = z_thresh
-        self.min_n = min_n
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
@@ -87,9 +88,9 @@ class ErrorStream:
 
     def push(self, x: float) -> int:
         err = 0
-        if self.n >= self.min_n:
+        if self.n >= MIN_N:
             std = (self.m2 / self.n) ** 0.5
-            if std > 1e-12 and abs(x - self.mean) > self.z * std:
+            if std > 1e-12 and abs(x - self.mean) > Z_THRESH * std:
                 err = 1
             elif std <= 1e-12 and abs(x - self.mean) > 1e-9:
                 err = 1

@@ -5,8 +5,8 @@ last CP) with a constant hazard rate and a Normal-Inverse-Gamma
 conjugate model per run (unknown mean and variance, Student-t
 predictive).  The update is O(n) in the number of tracked run lengths
 (Table 2's O(n) — the only competitor whose per-point cost grows with
-the stream), so the posterior is truncated at a mass threshold for
-tractability (standard practice; exact for the reported MAP runs).
+the stream), so run lengths with less mass than ``TRUNC`` are dropped
+(standard practice; exact for the reported MAP runs).
 
 CP reporting follows the paper's tuned rule: a drop of the MAP run
 length exceeding ``drop_threshold`` (paper: 150 on their corpus) reports
@@ -19,6 +19,10 @@ import numpy as np
 from repro.baselines.base import StreamingDetector
 
 __all__ = ["BOCD"]
+
+PRIOR = (0.0, 1.0, 1.0, 1.0)  # Normal-Inverse-Gamma (mu0, kappa0, alpha0, beta0)
+TRUNC = 1e-9                  # run lengths with less posterior mass are dropped
+EXCL = 50                     # minimum distance between two reported CPs
 
 # Lanczos coefficients (g=7, n=9) — vectorised log-gamma for positive
 # arguments, accurate to ~1e-13; scipy is unavailable in this
@@ -43,21 +47,13 @@ def _gammaln(a: np.ndarray) -> np.ndarray:
 
 class BOCD(StreamingDetector):
     def __init__(self, hazard: float = 1.0 / 250.0,
-                 drop_threshold: int = 150,
-                 mu0: float = 0.0, kappa0: float = 1.0,
-                 alpha0: float = 1.0, beta0: float = 1.0,
-                 trunc: float = 1e-9, excl: int = 50) -> None:
+                 drop_threshold: int = 150) -> None:
         super().__init__()
         self.h = hazard
         self.drop = drop_threshold
-        self.prior = (mu0, kappa0, alpha0, beta0)
-        self.trunc = trunc
-        self.excl = excl
         self.r = np.array([1.0])            # run-length posterior
-        self.mu = np.array([mu0])
-        self.kappa = np.array([kappa0])
-        self.alpha = np.array([alpha0])
-        self.beta = np.array([beta0])
+        self.mu, self.kappa, self.alpha, self.beta = (
+            np.array([v]) for v in PRIOR)
         self.runs = np.array([0])           # run length per slot
         self._map_prev = 0
         self._last_cp = -10**18
@@ -70,7 +66,7 @@ class BOCD(StreamingDetector):
                 - (df + 1) / 2 * np.log1p(z * z / df))
 
     def _step(self, x: float) -> int | None:
-        mu0, kappa0, alpha0, beta0 = self.prior
+        mu0, kappa0, alpha0, beta0 = PRIOR
         # Student-t predictive per run.
         df = 2 * self.alpha
         scale = np.sqrt(self.beta * (self.kappa + 1) / (self.alpha * self.kappa))
@@ -90,7 +86,7 @@ class BOCD(StreamingDetector):
         self.runs = np.concatenate(([0], self.runs + 1))
         self.r = new_r
         # Truncate negligible-mass tails (keep slot 0 always).
-        keep = self.r > self.trunc
+        keep = self.r > TRUNC
         keep[0] = True
         if not keep.all():
             self.r = self.r[keep]
@@ -102,7 +98,7 @@ class BOCD(StreamingDetector):
         map_run = int(self.runs[int(np.argmax(self.r))])
         cp = None
         if (self._map_prev - map_run > self.drop
-                and self.pos - self._last_cp > self.excl):
+                and self.pos - self._last_cp > EXCL):
             cp = self.pos - map_run
             self._last_cp = self.pos
         self._map_prev = map_run

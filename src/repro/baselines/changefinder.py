@@ -21,6 +21,10 @@ from repro.baselines.base import StreamingDetector
 
 __all__ = ["ChangeFinder", "SDAR"]
 
+ORDER = 3     # AR order p of both SDAR stages
+SMOOTH = 7    # moving-average length over each stage's scores
+EXCL = 200    # minimum distance between two reported CPs
+
 
 def _levinson_durbin(c: np.ndarray, order: int) -> np.ndarray:
     """AR coefficients from autocovariances c[0..order] (Yule-Walker)."""
@@ -41,12 +45,12 @@ def _levinson_durbin(c: np.ndarray, order: int) -> np.ndarray:
 class SDAR:
     """Sequentially discounting AR model with Gaussian log-loss score."""
 
-    def __init__(self, r: float = 0.005, order: int = 3) -> None:
-        self.r, self.order = r, order
+    def __init__(self, r: float) -> None:
+        self.r, self.order = r, ORDER
         self.mu = 0.0
         self.sigma = 1.0
-        self.c = np.zeros(order + 1)
-        self.hist: deque[float] = deque(maxlen=order)
+        self.c = np.zeros(ORDER + 1)
+        self.hist: deque[float] = deque(maxlen=ORDER)
         self.n = 0
         self.burnin = max(30, int(1.0 / r))
 
@@ -86,16 +90,13 @@ class SDAR:
 class ChangeFinder(StreamingDetector):
     """Two-stage SDAR change scoring with thresholded CP reports."""
 
-    def __init__(self, r: float = 0.005, order: int = 3,
-                 smooth: int = 7, threshold: float = 50.0,
-                 excl: int = 200) -> None:
+    def __init__(self, r: float = 0.005, threshold: float = 50.0) -> None:
         super().__init__()
-        self.sdar1 = SDAR(r, order)
-        self.sdar2 = SDAR(r, order)
-        self.buf1: deque[float] = deque(maxlen=smooth)
-        self.buf2: deque[float] = deque(maxlen=smooth)
+        self.sdar1 = SDAR(r)
+        self.sdar2 = SDAR(r)
+        self.buf1: deque[float] = deque(maxlen=SMOOTH)
+        self.buf2: deque[float] = deque(maxlen=SMOOTH)
         self.threshold = threshold
-        self.excl = excl
         self._last_cp = -10**18
         self.last_score = 0.0
 
@@ -111,7 +112,7 @@ class ChangeFinder(StreamingDetector):
             return None
         if self.last_score <= self.threshold:
             return None
-        if self.pos - self._last_cp <= self.excl:
+        if self.pos - self._last_cp <= EXCL:
             return None
         self._last_cp = self.pos
         return self.pos

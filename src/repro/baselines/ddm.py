@@ -18,15 +18,15 @@ from repro.baselines.base import ErrorStream, StreamingDetector
 
 __all__ = ["DDM"]
 
+MIN_N = 30    # errors seen before drift is checked
+EXCL = 30     # minimum distance between two reported CPs
+
 
 class DDM(StreamingDetector):
-    def __init__(self, drift_level: float = 20.0, min_n: int = 30,
-                 z_thresh: float = 2.0, excl: int = 30) -> None:
+    def __init__(self, drift_level: float = 20.0) -> None:
         super().__init__()
         self.drift_level = drift_level
-        self.min_n = min_n
-        self.excl = excl
-        self.errors = ErrorStream(z_thresh=z_thresh)
+        self.errors = ErrorStream()
         self._reset()
         self._last_cp = -10**18
 
@@ -43,13 +43,13 @@ class DDM(StreamingDetector):
         self.n += 1
         self.p += (e - self.p) / self.n
         self.s = (self.p * (1 - self.p) / self.n) ** 0.5
-        if self.n < self.min_n:
+        if self.n < MIN_N:
             return None
         if self.p + self.s <= self.psmin:
             self.psmin = self.p + self.s
             self.pmin, self.smin = self.p, self.s
         if (self.p + self.s > self.pmin + self.drift_level * self.smin
-                and self.pos - self._last_cp > self.excl):
+                and self.pos - self._last_cp > EXCL):
             self._reset()
             self.errors.reset()
             self._last_cp = self.pos

@@ -29,6 +29,14 @@ from repro.core.streaming_knn import StreamingKNN
 
 __all__ = ["FLOSS", "ideal_arc_curve_1d"]
 
+# Exclusion zone around reported CPs and window borders, in subsequence
+# widths (prevents "series of closely located splits", paper Section 4.1).
+EXCL_FACTOR = 5
+# A valley must stay below threshold at a stable location for PATIENCE
+# consecutive points before it is reported — filters the transient dips
+# of the (noisy, per paper 4.5) arc curve.
+PATIENCE = 10
+
 
 def ideal_arc_curve_1d(m: int) -> np.ndarray:
     """Expected crossings of ``m`` uniform right-directed arcs at every
@@ -49,22 +57,14 @@ class FLOSS(StreamingDetector):
     d: sliding window size (paper: 10k; scaled with the corpus).
     w: subsequence width (the paper takes it "from the annotations").
     threshold: CAC valley threshold (paper-tuned 0.45).
-    excl_factor: exclusion zone around reported CPs and window borders,
-        in subsequence widths (prevents "series of closely located
-        splits", paper Section 4.1).
     """
 
     def __init__(self, d: int = 10_000, w: int = 100,
-                 threshold: float = 0.45, excl_factor: int = 5,
-                 patience: int = 10) -> None:
+                 threshold: float = 0.45) -> None:
         super().__init__()
         self.d, self.w = d, w
         self.threshold = threshold
-        self.excl = excl_factor * w
-        # A valley must stay below threshold at a stable location for
-        # `patience` consecutive points before it is reported — filters
-        # the transient dips of the (noisy, per paper 4.5) arc curve.
-        self.patience = patience
+        self.excl = EXCL_FACTOR * w
         self._streak = 0
         self._streak_pos = -10**18
         self._knn = StreamingKNN(d, w, k=1)
@@ -128,7 +128,7 @@ class FLOSS(StreamingDetector):
         else:
             self._streak = 1
         self._streak_pos = cp_abs
-        if self._streak < self.patience:
+        if self._streak < PATIENCE:
             return None
         if cp_abs - self._last_cp <= self.excl:
             return None

@@ -20,16 +20,15 @@ from repro.baselines.base import ErrorStream, StreamingDetector
 
 __all__ = ["HDDM"]
 
+MIN_N = 30    # errors seen, before and after the cut, before drift is checked
+EXCL = 30     # minimum distance between two reported CPs
+
 
 class HDDM(StreamingDetector):
-    def __init__(self, drift_confidence: float = 1e-60,
-                 z_thresh: float = 2.0, min_n: int = 30,
-                 excl: int = 30) -> None:
+    def __init__(self, drift_confidence: float = 1e-60) -> None:
         super().__init__()
         self.alpha = drift_confidence
-        self.min_n = min_n
-        self.excl = excl
-        self.errors = ErrorStream(z_thresh=z_thresh)
+        self.errors = ErrorStream()
         self._reset()
         self._last_cp = -10**18
 
@@ -56,7 +55,7 @@ class HDDM(StreamingDetector):
             self.n_cut = self.n
             self.total_cut = self.total
         n_rest = self.n - self.n_cut
-        if self.n < self.min_n or n_rest < self.min_n:
+        if self.n < MIN_N or n_rest < MIN_N:
             return None
         mean_cut = self.total_cut / self.n_cut
         mean_rest = (self.total - self.total_cut) / n_rest
@@ -64,7 +63,7 @@ class HDDM(StreamingDetector):
             (1.0 / self.n_cut + 1.0 / n_rest) / 2.0
             * math.log(1.0 / self.alpha))
         if (mean_rest - mean_cut > eps
-                and self.pos - self._last_cp > self.excl):
+                and self.pos - self._last_cp > EXCL):
             self._reset()
             self.errors.reset()
             self._last_cp = self.pos

@@ -23,25 +23,27 @@ from repro.baselines.base import StreamingDetector
 
 __all__ = ["NEWMA"]
 
+N_FEATURES = 64   # random Fourier features
+HISTORY = 1000    # past statistics the adaptive threshold is taken over
+SEED = 7          # seed of the random features
+
 
 class NEWMA(StreamingDetector):
-    def __init__(self, w: int = 50, n_features: int = 64,
-                 quantile: float = 1.0, history: int = 1000,
-                 excl: int | None = None, seed: int = 7) -> None:
+    def __init__(self, w: int = 50, quantile: float = 1.0) -> None:
         super().__init__()
         self.w = w
         self.quantile = quantile
-        self.excl = excl if excl is not None else 2 * w
-        rng = np.random.default_rng(seed)
+        self.excl = 2 * w
+        rng = np.random.default_rng(SEED)
         # RFF for a Gaussian kernel with unit bandwidth on z-scored lags.
-        self.W = rng.standard_normal((n_features, w))
-        self.b = rng.uniform(0, 2 * np.pi, n_features)
+        self.W = rng.standard_normal((N_FEATURES, w))
+        self.b = rng.uniform(0, 2 * np.pi, N_FEATURES)
         self.lam_fast = 2.0 / (w + 1)
         self.lam_slow = 2.0 / (4 * w + 1)
-        self.m_fast = np.zeros(n_features)
-        self.m_slow = np.zeros(n_features)
+        self.m_fast = np.zeros(N_FEATURES)
+        self.m_slow = np.zeros(N_FEATURES)
         self.lags: deque[float] = deque(maxlen=w)
-        self.stats: deque[float] = deque(maxlen=history)
+        self.stats: deque[float] = deque(maxlen=HISTORY)
         self._last_cp = -10**18
         self.last_score = 0.0
 

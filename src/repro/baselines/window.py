@@ -1,17 +1,17 @@
 """Sliding-window discrepancy baseline with autoregressive cost.
 
 The paper's "Window" competitor (from Truong et al.'s review): keep a
-buffer of ``c = 10 * w`` recent points, split it at the centre, and
+buffer of ``c = FACTOR * w`` recent points, split it at the centre, and
 report a CP when the *discrepancy* — the cost reduction of modelling the
 halves separately rather than jointly — exceeds a threshold (paper-tuned
 0.2 with the autoregressive cost, the best configuration of their grid).
 
 Cost of a segment is the residual sum of squares of a least-squares
-AR(p) fit (ruptures' ``CostAR``).  The discrepancy is normalised by the
-joint cost so the threshold is scale-free.  The AR fits are O(c * p^2)
-per evaluation; evaluations run at a configurable stride (default
-``w // 2``; stride 1 is the paper-exact but prohibitively slow setting —
-the detection positions shift by at most the stride).
+AR(``ORDER``) fit (ruptures' ``CostAR``), normalised by the joint cost
+so the threshold is scale-free.  Evaluations (O(c * p^2) each) run every
+``stride`` points: 1 in Table 2's sweep (paper-exact), ``w // 2`` by
+default in Table 3 (detections shift by at most the stride).  Reported
+CPs are at least ``c // 2`` points apart.
 """
 from __future__ import annotations
 
@@ -23,8 +23,11 @@ from repro.baselines.base import StreamingDetector
 
 __all__ = ["WindowSegmenter", "ar_cost"]
 
+FACTOR = 10   # buffer length in subsequence widths
+ORDER = 3     # AR order of the segment cost
 
-def ar_cost(seg: np.ndarray, order: int = 3) -> float:
+
+def ar_cost(seg: np.ndarray, order: int) -> float:
     """Residual sum of squares of a least-squares AR(order) fit with
     intercept; falls back to variance cost for too-short segments."""
     n = len(seg)
@@ -43,15 +46,13 @@ def ar_cost(seg: np.ndarray, order: int = 3) -> float:
 class WindowSegmenter(StreamingDetector):
     """Centre-split discrepancy detector over a fixed-size buffer."""
 
-    def __init__(self, w: int = 100, factor: int = 10, order: int = 3,
-                 threshold: float = 0.2, stride: int | None = None,
-                 excl: int | None = None) -> None:
+    def __init__(self, w: int = 100, threshold: float = 0.2,
+                 stride: int | None = None) -> None:
         super().__init__()
-        self.c = factor * w
-        self.order = order
+        self.c = FACTOR * w
         self.threshold = threshold
         self.stride = stride if stride is not None else max(1, w // 2)
-        self.excl = excl if excl is not None else self.c // 2
+        self.excl = self.c // 2
         self.buf: deque[float] = deque(maxlen=self.c)
         self._last_cp = -10**18
         self.last_score = 0.0
@@ -62,8 +63,8 @@ class WindowSegmenter(StreamingDetector):
             return None
         seg = np.asarray(self.buf)
         half = self.c // 2
-        full = ar_cost(seg, self.order)
-        gain = full - ar_cost(seg[:half], self.order) - ar_cost(seg[half:], self.order)
+        full = ar_cost(seg, ORDER)
+        gain = full - ar_cost(seg[:half], ORDER) - ar_cost(seg[half:], ORDER)
         self.last_score = gain / max(full, 1e-12)
         if self.last_score <= self.threshold:
             return None

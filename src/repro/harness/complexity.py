@@ -42,7 +42,7 @@ _SWEEP_PARAM = {
     "floss": lambda d: {"d": d, "w": max(10, d // 50)},
     "window": lambda d: {"w": max(10, d // 50), "stride": 1},
     "newma": lambda d: {"w": max(10, d // 50)},
-    "changefinder": lambda d: {"order": 3},
+    "changefinder": lambda d: {},
     "bocd": lambda d: {},
     "ddm": lambda d: {},
     "hddm": lambda d: {},

@@ -56,7 +56,7 @@ METHODS: dict[str, dict] = {
         "width": True,
     },
     "changefinder": {
-        "params": {"r": 0.01, "order": 3},
+        "params": {"r": 0.01},
         "grid": {"threshold": [0.5, 1.0, 2.0, 5.0, 10.0]},
         "width": False,
     },

@@ -89,3 +89,26 @@ def test_chunked_feed_is_lossless(name):
     assert got == det.change_points
     assert got == make_detector(name, **PARAMS[name]).run(series)
     assert det.pos == len(series)
+
+
+# Constructor options that every caller left at their default; each is
+# now a module constant of its detector, and passing it is an error.
+REMOVED_OPTIONS = {
+    "adwin": {"max_buckets": 5, "min_n": 32, "excl": 32},
+    "bocd": {"mu0": 0.0, "kappa0": 1.0, "alpha0": 1.0, "beta0": 1.0,
+             "trunc": 1e-9, "excl": 50},
+    "changefinder": {"order": 3, "smooth": 7, "excl": 200},
+    "ddm": {"min_n": 30, "z_thresh": 2.0, "excl": 30},
+    "hddm": {"z_thresh": 2.0, "min_n": 30, "excl": 30},
+    "floss": {"excl_factor": 5, "patience": 10},
+    "window": {"factor": 10, "order": 3, "excl": None},
+    "newma": {"n_features": 64, "history": 1000, "excl": None, "seed": 7},
+}
+
+
+@pytest.mark.parametrize("name,kw,value", [
+    (name, kw, value) for name, opts in REMOVED_OPTIONS.items()
+    for kw, value in opts.items()])
+def test_removed_option_raises(name, kw, value):
+    with pytest.raises(TypeError):
+        make_detector(name, **{kw: value})

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.adwin import ADWIN
+from repro.baselines.adwin import ADWIN, MAX_BUCKETS
 from repro.baselines.base import ErrorStream
 from repro.baselines.ddm import DDM
 from repro.baselines.hddm import HDDM
@@ -17,7 +17,7 @@ def _mean_shift(n=1500, mag=3.0, seed=0):
 # ---------------- ErrorStream ----------------------------------------
 def test_error_stream_flags_outliers():
     rng = np.random.default_rng(1)
-    es = ErrorStream(z_thresh=2.0)
+    es = ErrorStream()
     errs = [es.push(x) for x in rng.standard_normal(500)]
     rate = np.mean(errs[50:])
     assert 0.0 < rate < 0.2  # ~4.6% for gaussian at 2 sigma
@@ -103,7 +103,7 @@ def test_adwin_histogram_count_invariant():
         total = sum(b.count for row in det.rows for b in row)
         assert total == det.n
         for row_i, row in enumerate(det.rows):
-            assert len(row) <= det.M
+            assert len(row) <= MAX_BUCKETS
             for b in row:
                 assert b.count == 2 ** row_i
 

@@ -70,7 +70,7 @@ def test_floss_exclusion_zone_suppresses_repeats():
     n = 2500
     a = np.sin(2 * np.pi * np.arange(n) / 20) + 0.1 * rng.standard_normal(n)
     b = 2 * ((np.arange(n) / 33) % 1) - 1 + 0.1 * rng.standard_normal(n)
-    det = FLOSS(d=1000, w=20, threshold=0.45, excl_factor=5)
+    det = FLOSS(d=1000, w=20, threshold=0.45)
     cps = det.run(np.concatenate([a, b]))
     diffs = np.diff(cps)
     assert np.all(diffs > det.excl)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import bocd, changefinder
 from repro.baselines.bocd import BOCD, _gammaln
 from repro.baselines.changefinder import SDAR, ChangeFinder, _levinson_durbin
 from repro.baselines.newma import NEWMA
@@ -47,16 +48,17 @@ def test_bocd_detects_mean_shift(seed):
     assert any(1100 <= c <= 1350 for c in cps)
 
 
-def test_bocd_truncation_bounds_memory():
+def test_bocd_truncation_bounds_memory(monkeypatch):
     """A coarser truncation threshold must prune run-length slots; the
     untruncated posterior keeps one slot per step (the paper's O(n))."""
     rng = np.random.default_rng(3)
     xs = rng.standard_normal(2000)
-    coarse = BOCD(trunc=1e-3)
-    fine = BOCD(trunc=0.0)
-    for x in xs:
-        coarse.update(float(x))
-        fine.update(float(x))
+    monkeypatch.setattr(bocd, "TRUNC", 1e-3)
+    coarse = BOCD()
+    coarse.feed(xs)
+    monkeypatch.setattr(bocd, "TRUNC", 0.0)
+    fine = BOCD()
+    fine.feed(xs)
     assert len(fine.r) == 2001
     assert len(coarse.r) < len(fine.r) // 2
 
@@ -75,8 +77,9 @@ def test_levinson_durbin_solves_yule_walker():
     np.testing.assert_allclose(a, a_true, atol=0.05)
 
 
-def test_sdar_score_spikes_on_shift():
-    sdar = SDAR(r=0.02, order=2)
+def test_sdar_score_spikes_on_shift(monkeypatch):
+    monkeypatch.setattr(changefinder, "ORDER", 2)
+    sdar = SDAR(r=0.02)
     rng = np.random.default_rng(5)
     pre = [sdar.update(float(x)) for x in rng.standard_normal(800)]
     post = [sdar.update(float(x)) for x in rng.standard_normal(50) + 8.0]
@@ -84,8 +87,9 @@ def test_sdar_score_spikes_on_shift():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_changefinder_detects_mean_shift(seed):
-    det = ChangeFinder(r=0.02, order=2, threshold=1.5)
+def test_changefinder_detects_mean_shift(seed, monkeypatch):
+    monkeypatch.setattr(changefinder, "ORDER", 2)
+    det = ChangeFinder(r=0.02, threshold=1.5)
     cps = det.run(_mean_shift(seed=seed))
     assert any(1150 <= c <= 1400 for c in cps)
 
