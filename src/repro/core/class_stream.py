@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.baselines.base import DETECTOR_REGISTRY, StreamingDetector
-from repro.core.scoring import cross_val_scores, split_label_counts
+from repro.core.scoring import (cross_val_scores, pred_thresholds,
+                                split_label_counts)
 from repro.core.significance import resampled_rank_sum_test
 from repro.core.streaming_knn import StreamingKNN
 # Bound under the name ``learn_width`` and called through it (like the
@@ -131,9 +132,12 @@ class ClaSS(StreamingDetector):
         if valid_hi < valid_lo or m_total < 2:
             return None
 
-        offsets = knn.relative_offsets()[self._region_start:]
-        offsets = offsets - self._region_start  # region-relative
-        profile = cross_val_scores(offsets)
+        # Flip thresholds once per point, region-relative (the k-th
+        # smallest commutes with the shift from absolute positions).
+        rs = self._region_start
+        t = pred_thresholds(knn.N[rs:])
+        t -= knn.start_abs + rs
+        profile = cross_val_scores(t)
         if profile.size == 0:
             return None
         window_scores = profile[valid_lo - 1:valid_hi]
@@ -141,7 +145,7 @@ class ClaSS(StreamingDetector):
             return None
         s_best = valid_lo + int(np.argmax(window_scores))
 
-        l0, l1, r0, r1 = split_label_counts(offsets, s_best)
+        l0, l1, r0, r1 = split_label_counts(t, s_best)
         p = resampled_rank_sum_test(
             l0, l1, r0, r1, sample_size=SAMPLE_SIZE, rng=self._rng)
         if p > P_THRESHOLD:

@@ -25,9 +25,17 @@ matrix cell is then a cumulative histogram:
 * ``TP1(s) = m - #{j : min(j, t_j) < s}``    (true 1 and predicted 1)
 * ``pred0(s) = #{j : t_j < s}``
 
-which yields the whole profile with three ``bincount``/``cumsum`` passes.
+and ``#{j : min(j, t_j) < s} = s + pred0(s) - TP0(s)``, which yields the
+whole profile with two ``bincount``/``cumsum`` passes.
 This is the same math as the paper's incremental relabelling and is
 asserted bit-identical against :func:`cross_val_scores_naive` in tests.
+
+The thresholds depend only on the offsets, so the caller computes them
+once per update with :func:`pred_thresholds` and passes them to both
+:func:`cross_val_scores` and :func:`split_label_counts`.  Both F1
+denominators are positive for every split: class 0 has ``s >= 1`` true
+members and class 1 has ``m - s >= 1``, so no split needs a
+zero-division guard.
 """
 from __future__ import annotations
 
@@ -47,77 +55,77 @@ def pred_thresholds(offsets: np.ndarray) -> np.ndarray:
 
     ``t_j`` is the ``ceil(k/2)``-th smallest neighbour offset — the count
     of neighbours with offset < s reaches the majority ``ceil(k/2)``
-    exactly when ``s`` passes it.
+    exactly when ``s`` passes it.  Selected column-wise: each of the
+    first ``ceil(k/2) - 1`` bubble passes drops the smallest remaining
+    column value, then the minimum of the rest is the threshold.
     """
     k = offsets.shape[1]
     need = (k + 1) // 2  # ceil(k/2): majority with ties to class 0
-    return np.partition(offsets, need - 1, axis=1)[:, need - 1]
+    rest = [offsets[:, c] for c in range(k)]
+    for _ in range(need - 1):
+        low, kept = rest[0], []
+        for col in rest[1:-1]:
+            kept.append(np.maximum(low, col))
+            low = np.minimum(low, col)
+        kept.append(np.maximum(low, rest[-1]))
+        rest = kept
+    t = rest[0].copy()
+    for col in rest[1:]:
+        np.minimum(t, col, out=t)
+    return t
 
 
-def _f1(tp: np.ndarray, pred_pos: np.ndarray, true_pos) -> np.ndarray:
-    """F1 = 2TP / (pred_pos + true_pos); 1.0 for the degenerate empty
-    class (no true and no predicted members), matching sklearn's
-    zero_division-free case for macro averaging over present labels."""
-    denom = pred_pos + true_pos
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(denom > 0, 2.0 * tp / np.where(denom == 0, 1, denom), 1.0)
-    return f
-
-
-def cross_val_scores(offsets: np.ndarray) -> np.ndarray:
+def cross_val_scores(t: np.ndarray) -> np.ndarray:
     """Macro-F1 ClaSP profile over all splits ``s = 1 .. m-1`` in ``O(m)``.
 
     Parameters
     ----------
-    offsets:
-        ``(m, k)`` window-relative neighbour offsets (may be negative).
+    t:
+        ``(m,)`` flip thresholds of :func:`pred_thresholds` (may be
+        negative).
 
     Returns
     -------
     ``(m - 1,)`` array; entry ``i`` is the score of split ``s = i + 1``.
     """
-    m, _ = offsets.shape
+    m = t.shape[0]
     if m < 2:
         return np.empty(0)
-    t = pred_thresholds(offsets)
-    j = np.arange(m)
-    # Clip into [-1, m-1]: a threshold below every split behaves as -1.
-    tc = np.clip(t, -1, m - 1)
-    hi = np.maximum(j, tc)
-    lo = np.minimum(j, tc)
+    # Shifted by one, so bin v counts thresholds t = v - 1; a threshold
+    # below every split behaves as -1, and one above m - 1 lands in a bin
+    # that is never read.
+    tc = np.maximum(t, -1)
+    tc += 1
+    hi = np.maximum(tc, np.arange(1, m + 1))
 
     def cum_below(v: np.ndarray) -> np.ndarray:
-        """c[s-1] = #{v < s} for s = 1..m-1."""
-        counts = np.bincount(v + 1, minlength=m + 1)  # v in [-1, m-1]
-        # cumsum[i] = #{v <= i-1}; we need #{v < s} = #{v <= s-1} at
-        # array position s-1, i.e. cumsum indices 1..m-1.
-        return np.cumsum(counts)[1:m]
+        """c[s-1] = #{v <= s} = #{v - 1 < s} for s = 1..m-1."""
+        return np.cumsum(np.bincount(v, minlength=m)[:m])[1:].astype(
+            np.float64)
 
-    s = np.arange(1, m, dtype=np.float64)
-    tp0 = cum_below(hi).astype(np.float64)
-    pred0 = cum_below(tc).astype(np.float64)
-    tp1 = m - cum_below(lo).astype(np.float64)
-    f1_0 = _f1(tp0, pred0, s)
-    f1_1 = _f1(tp1, m - pred0, m - s)
+    s = np.arange(1.0, m)
+    ms = m - s
+    tp0 = cum_below(hi)
+    pred0 = cum_below(tc)
+    # TP1 = m - #{min(j, t_j) < s}, and #{min < s} = s + pred0 - tp0.
+    tp1 = ms - pred0
+    tp1 += tp0
+    f1_0 = 2.0 * tp0 / (pred0 + s)
+    f1_1 = 2.0 * tp1 / ((m - pred0) + ms)
     return 0.5 * (f1_0 + f1_1)
 
 
-def split_label_counts(offsets: np.ndarray, s: int):
+def split_label_counts(t: np.ndarray, s: int):
     """Predicted-label counts on each side of split ``s`` — the input of
     the significance test (paper Section 3.3).
 
-    Returns ``(left0, left1, right0, right1)``: counts of predicted 0/1
-    labels among rows ``< s`` and rows ``>= s``.
+    ``t`` holds the flip thresholds of :func:`pred_thresholds`.  Returns
+    ``(left0, left1, right0, right1)``: counts of predicted 0/1 labels
+    among rows ``< s`` and rows ``>= s``.
     """
-    t = pred_thresholds(offsets)
-    pred0 = t < s
-    j = np.arange(offsets.shape[0])
-    left = j < s
-    l0 = int(np.count_nonzero(pred0 & left))
-    l1 = int(np.count_nonzero(~pred0 & left))
-    r0 = int(np.count_nonzero(pred0 & ~left))
-    r1 = int(np.count_nonzero(~pred0 & ~left))
-    return l0, l1, r0, r1
+    l0 = int(np.count_nonzero(t[:s] < s))
+    r0 = int(np.count_nonzero(t[s:] < s))
+    return l0, s - l0, r0, t.shape[0] - s - r0
 
 
 def cross_val_scores_naive(offsets: np.ndarray) -> np.ndarray:

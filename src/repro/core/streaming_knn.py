@@ -11,10 +11,33 @@ The sliding window holds the latest ``L <= d`` points.  Width-``w``
 subsequences start at window offsets ``0 .. L - w`` (``m = L - w + 1`` of
 them).  Neighbour identities are stored as *absolute* stream positions of
 the subsequence start, so no per-step renumbering of stored rows is
-needed; :meth:`StreamingKNN.relative_offsets` converts them to
-window-relative subsequence indices (negative for egressed neighbours,
-which the ClaSS scorer treats as class 0 — paper Section 3.1, "k-NN
+needed; ``N - start_abs`` gives window-relative subsequence indices
+(negative for egressed neighbours, very negative for unset slots; the
+ClaSS scorer treats both as class 0 — paper Section 3.1, "k-NN
 Shift").
+
+Buffer layout
+-------------
+Nothing is reallocated per point.  The window points, the per-
+subsequence mean and standard deviation, and the k-NN rows ``C``/``N``
+live in preallocated buffers of ``2 d`` slots that share one offset:
+window point ``i`` and the subsequence starting at it both sit at slot
+``offset + i``.  When the window is full, each point advances the offset
+by one (the oldest point and subsequence egress) and writes the new
+point and row at the end; once the end of the buffers is reached, the
+live part is copied back to slot 0, once every ``d + 1`` points.  The
+(w-1)-length dot products ``_q`` sit right-aligned in a buffer of
+``d - w + 1`` slots, because a growing window prepends one slot per
+point and a full one keeps its slots in place.  The public arrays
+(``win``, ``C``, ``N``, ``mu``, ``sig``) are views derived from the
+buffers when read; pickling keeps only the live window, ``_q`` and rows,
+and rebuilds the slack and the statistics on load.
+
+The mean and standard deviation of a subsequence (paper Eqns. 1-2) are
+computed once, from its own ``w`` values, when it enters the window, and
+then only move with it.  They equal ``np.mean``/``np.std`` of the
+subsequence bit for bit, so a restored instance recomputes the same
+values.
 
 The per-update invariant (verified exhaustively in the tests): as long
 as no point has egressed, row ``j`` holds the exact top-``k`` neighbours
@@ -26,6 +49,7 @@ worst stored neighbour is folded in by the "k-NN Update" step.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["StreamingKNN", "batch_knn", "pairwise_pearson"]
 
@@ -37,21 +61,41 @@ def _exclusion(w: int) -> int:
     return max(1, w // 2)
 
 
+# Elements per block when a loaded state recomputes its statistics.
+_STATS_BLOCK = 1 << 16
+
+
+def _mean_std(subs: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of each row of ``subs`` (``(n, w)``),
+    computed as ``np.mean``/``np.std`` compute them, so every row gets
+    the same bits whether it is computed alone or in a batch."""
+    mu = np.add.reduce(subs, axis=1) / w
+    dev = subs - mu[:, None]
+    dev *= dev
+    return mu, np.sqrt(np.add.reduce(dev, axis=1) / w)
+
+
 def _safe_pearson(q: np.ndarray, w: int, mu: np.ndarray, sig: np.ndarray,
                   mu_q: float, sig_q: float) -> np.ndarray:
     """Pearson correlation from dot products (paper Eqn. 4), guarding
     zero-variance (flat) subsequences: flat-vs-flat correlates 1, flat
     vs non-flat correlates 0."""
     flat = sig < 1e-12
-    q_flat = sig_q < 1e-12
-    denom = w * sig * (sig_q if not q_flat else 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (q - w * mu * mu_q) / np.where(denom == 0, 1.0, denom)
-    if q_flat:
-        c = np.where(flat, 1.0, 0.0)
+    if sig_q < 1e-12:
+        return flat.astype(np.float64)
+    c = w * mu
+    c *= mu_q
+    np.subtract(q, c, out=c)
+    denom = w * sig
+    denom *= sig_q
+    if flat.any():
+        denom[flat] = 1.0
+        c /= denom
+        c[flat] = 0.0
     else:
-        c = np.where(flat, 0.0, c)
-    return np.clip(c, -1.0, 1.0)
+        c /= denom
+    np.maximum(c, -1.0, out=c)   # clip to [-1, 1]
+    return np.minimum(c, 1.0, out=c)
 
 
 class StreamingKNN:
@@ -69,12 +113,16 @@ class StreamingKNN:
 
     Attributes
     ----------
+    win : (L,) float64
+        The window's points, oldest first.
     C : (m, k) float64
         Correlations of each stored neighbour, descending per row.
     N : (m, k) int64
         Absolute stream start positions of each neighbour;
         ``_UNSET`` (< 0 sentinel far below any real position) while a
         row has fewer than ``k`` neighbours.
+    mu, sig : (m,) float64
+        Mean and standard deviation of each subsequence.
     """
 
     _UNSET = np.iinfo(np.int64).min // 2
@@ -86,29 +134,81 @@ class StreamingKNN:
             raise ValueError(f"window size d={d} must be >= 2*w={2 * w}")
         self.d, self.w, self.k = d, w, k
         self.excl = _exclusion(w)
-        self.win = np.empty(0, dtype=np.float64)
-        # Q[i] between updates: dot(win[i+1:i+w], win[L-w+1:L]) — the
-        # (w-1)-length dot products ready for the next iteration
-        # (paper Eqns. 3/5).
-        self._q = np.empty(0, dtype=np.float64)
-        self.C = np.empty((0, k), dtype=np.float64)
-        self.N = np.empty((0, k), dtype=np.int64)
         self.pos = 0          # absolute position of the *next* point
         self.start_abs = 0    # absolute position of win[0]
+        self._off = 0         # buffer slot of win[0] and of row 0
+        self._buf = np.empty(2 * d)
+        self._mu = np.empty(2 * d)
+        self._sig = np.empty(2 * d)
+        self._C = np.empty((2 * d, k))
+        self._N = np.empty((2 * d, k), dtype=np.int64)
+        # Right-aligned: _q[i] between updates is
+        # dot(win[i+1:i+w], win[L-w+1:L]), the (w-1)-length dot products
+        # ready for the next iteration (paper Eqns. 3/5).
+        self._qbuf = np.empty(d - w + 1)
 
     # ------------------------------------------------------------------
     @property
     def n_subseqs(self) -> int:
         """Number of subsequences currently in the window."""
-        return max(0, len(self.win) - self.w + 1)
+        return max(0, self.pos - self.start_abs - self.w + 1)
 
-    def relative_offsets(self) -> np.ndarray:
-        """Neighbour positions as window-relative subsequence indices.
+    def _rows(self, buf: np.ndarray) -> np.ndarray:
+        return buf[self._off:self._off + self.n_subseqs]
 
-        Egressed neighbours come out negative; unset slots come out as a
-        very negative sentinel.  Both are class 0 for the scorer.
-        """
-        return self.N - self.start_abs
+    @property
+    def win(self) -> np.ndarray:
+        return self._buf[self._off:self._off + self.pos - self.start_abs]
+
+    @property
+    def C(self) -> np.ndarray:
+        return self._rows(self._C)
+
+    @property
+    def N(self) -> np.ndarray:
+        return self._rows(self._N)
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self._rows(self._mu)
+
+    @property
+    def sig(self) -> np.ndarray:
+        return self._rows(self._sig)
+
+    @property
+    def _q(self) -> np.ndarray:
+        return self._qbuf[len(self._qbuf) - self.n_subseqs:]
+
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # Views pickle their own elements only: the slack stays behind.
+        return {"d": self.d, "w": self.w, "k": self.k, "pos": self.pos,
+                "start_abs": self.start_abs, "win": self.win,
+                "q": self._q, "C": self.C, "N": self.N}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["d"], state["w"], state["k"])
+        self.pos, self.start_abs = state["pos"], state["start_abs"]
+        win = state["win"]
+        m = self.n_subseqs
+        self._buf[:len(win)] = win
+        self._qbuf[len(self._qbuf) - m:] = state["q"]
+        self._C[:m], self._N[:m] = state["C"], state["N"]
+        # In blocks of rows, so the (rows, w) temporaries stay small.
+        w = self.w
+        step = max(1, _STATS_BLOCK // w)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            subs = sliding_window_view(win[lo:hi + w - 1], w)
+            self._mu[lo:hi], self._sig[lo:hi] = _mean_std(subs, w)
+
+    def _compact(self) -> None:
+        """Copy the live points and rows back to slot 0."""
+        off, n = self._off, self.d - 1
+        for buf in (self._buf, self._mu, self._sig, self._C, self._N):
+            buf[:n] = buf[off:off + n]
+        self._off = 0
 
     # ------------------------------------------------------------------
     def update(self, x: float) -> np.ndarray | None:
@@ -119,78 +219,75 @@ class StreamingKNN:
         window holds fewer than ``w`` points) — FLOSS reuses this vector
         for its right-constrained 1-NN arcs.
         """
-        w, k = self.w, self.k
-        at_capacity = len(self.win) == self.d
+        w, k, d = self.w, self.k, self.d
+        L = self.pos - self.start_abs
+        at_capacity = L == d
         if at_capacity:
-            self.win = np.append(self.win[1:], x)
+            # The oldest point and its subsequence egress.
             self.start_abs += 1
+            self._off += 1
+            if self._off + d > len(self._buf):
+                self._compact()
         else:
-            self.win = np.append(self.win, x)
+            L += 1
         self.pos += 1
-        L = len(self.win)
+        off = self._off
+        self._buf[off + L - 1] = x
         if L < w:
             return None
+        win = self._buf[off:off + L]
         m = L - w + 1
+        new = off + m - 1     # buffer row of the newest subsequence
+
+        # --- stats of the newest subsequence (Eqns. 1-2) --------------
+        mu_q, sig_q = _mean_std(win[None, L - w:], w)
+        self._mu[new], self._sig[new] = mu_q[0], sig_q[0]
 
         # --- dot products (paper Alg. 2 lines 5-10, Eqns. 3/5) --------
+        q = self._qbuf[len(self._qbuf) - m:]
         if not at_capacity:
             # A new leftmost slot appears while the window grows; its
             # (w-1)-dot with the newest subsequence's first w-1 points
             # is computed directly in O(w) (paper line 6).
-            fresh = float(self.win[0:w - 1] @ self.win[L - w:L - 1])
-            self._q = np.concatenate(([fresh], self._q))
-        # else: slots keep their post-subtract values; alignment shown in
-        # the module docstring derivation.
-        q_full = self._q + self.win[w - 1:L] * x  # Eqn. 3: w-length dots
-
-        # --- means / stds via running sums (Eqns. 1-2) ----------------
-        csum = np.concatenate(([0.0], np.cumsum(self.win)))
-        csum2 = np.concatenate(([0.0], np.cumsum(self.win * self.win)))
-        mu = (csum[w:] - csum[:-w]) / w
-        var = (csum2[w:] - csum2[:-w]) / w - mu * mu
-        sig = np.sqrt(np.maximum(var, 0.0))
-
-        corr = _safe_pearson(q_full, w, mu, sig, mu[m - 1], sig[m - 1])
-
+            q[0] = win[0:w - 1] @ win[L - w:L - 1]
+        q_full = win[w - 1:L] * x
+        q_full += q                          # Eqn. 3: w-length dots
+        corr = _safe_pearson(q_full, w, self._mu[off:new + 1],
+                             self._sig[off:new + 1], mu_q[0], sig_q[0])
         # Eqn. 5: restore (w-1)-length dots for the next update.
-        self._q = q_full - self.win[0:m] * self.win[L - w]
+        np.multiply(win[0:m], win[L - w], out=q)
+        np.subtract(q_full, q, out=q)
 
-        # --- rows for subsequences (shift + insert, lines 21-24) ------
-        if at_capacity:
-            self.C = np.vstack([self.C[1:], np.full(k, -np.inf)])
-            self.N = np.vstack([self.N[1:], np.full(k, self._UNSET)])
-        else:
-            self.C = np.vstack([self.C, np.full(k, -np.inf)])
-            self.N = np.vstack([self.N, np.full(k, self._UNSET)])
-        new_abs = self.start_abs + m - 1  # newest subsequence, absolute
+        # --- row of the newest subsequence (lines 21-24) --------------
+        C, N = self._C, self._N
+        C[new] = -np.inf
+        N[new] = self._UNSET
+        n_cand = m - 1 - self.excl
+        if n_cand < 1:
+            return corr
 
         # (a) k-NN of the newest subsequence among non-trivial older ones.
-        n_cand = m - 1 - self.excl
-        if n_cand >= 1:
-            cand = corr[:n_cand]
-            top = min(k, n_cand)
-            sel = np.argpartition(-cand, top - 1)[:top]
-            sel = sel[np.argsort(-cand[sel], kind="stable")]
-            self.C[-1, :top] = cand[sel]
-            self.N[-1, :top] = sel + self.start_abs
+        cand = corr[:n_cand]
+        top = min(k, n_cand)
+        sel = np.argpartition(-cand, top - 1)[:top]
+        sel = sel[np.argsort(-cand[sel], kind="stable")]
+        C[new, :top] = cand[sel]
+        N[new, :top] = sel + self.start_abs
 
-        # (c) older rows adopt the newest subsequence when it beats
-        # their worst stored neighbour (paper lines 23-24).
-        if m >= 2:
-            old = slice(0, m - 1)
-            gap_ok = np.arange(m - 1) < m - 1 - self.excl
-            better = (corr[:m - 1] > self.C[old, k - 1]) & gap_ok
-            rows = np.nonzero(better)[0]
-            if rows.size:
-                cvals = corr[rows]
-                # insertion position: number of stored corrs >= new one
-                ins = (self.C[rows] >= cvals[:, None]).sum(axis=1)
-                for col in range(k - 1, 0, -1):
-                    mv = ins <= col - 1
-                    self.C[rows[mv], col] = self.C[rows[mv], col - 1]
-                    self.N[rows[mv], col] = self.N[rows[mv], col - 1]
-                self.C[rows, ins] = cvals
-                self.N[rows, ins] = new_abs
+        # (c) older rows outside the newest's exclusion zone adopt it
+        # when it beats their worst stored neighbour (lines 23-24).
+        Cr, Nr = C[off:off + n_cand], N[off:off + n_cand]
+        rows = np.flatnonzero(cand > Cr[:, k - 1])
+        if rows.size:
+            cvals = cand[rows]
+            # insertion position: number of stored corrs >= new one
+            ins = (Cr[rows] >= cvals[:, None]).sum(axis=1)
+            for col in range(k - 1, 0, -1):
+                mv = rows[ins <= col - 1]
+                Cr[mv, col] = Cr[mv, col - 1]
+                Nr[mv, col] = Nr[mv, col - 1]
+            Cr[rows, ins] = cvals
+            Nr[rows, ins] = self.start_abs + m - 1
         return corr
 
 

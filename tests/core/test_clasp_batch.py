@@ -2,7 +2,7 @@
 import numpy as np
 
 from repro.core.clasp_batch import clasp_profile
-from repro.core.scoring import cross_val_scores
+from repro.core.scoring import cross_val_scores, pred_thresholds
 from repro.core.streaming_knn import StreamingKNN
 
 
@@ -18,7 +18,8 @@ def test_streaming_state_reproduces_batch_clasp():
     s = StreamingKNN(d=500, w=w, k=k)
     for x in T:
         s.update(x)
-    streaming_profile = cross_val_scores(s.relative_offsets())
+    streaming_profile = cross_val_scores(
+        pred_thresholds(s.N - s.start_abs))
     batch = clasp_profile(T, w, k)
     np.testing.assert_allclose(streaming_profile, batch, atol=1e-12)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.scoring import (cross_val_scores, cross_val_scores_naive,
                                 pred_thresholds, split_label_counts)
+from repro.core.streaming_knn import StreamingKNN
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -14,8 +15,8 @@ from repro.core.scoring import (cross_val_scores, cross_val_scores_naive,
 def test_vectorised_equals_naive_f1(seed, k, m):
     rng = np.random.default_rng(seed)
     offs = rng.integers(-7, m, size=(m, k))
-    np.testing.assert_allclose(
-        cross_val_scores(offs), cross_val_scores_naive(offs), atol=1e-12)
+    np.testing.assert_allclose(cross_val_scores(pred_thresholds(offs)),
+                               cross_val_scores_naive(offs), atol=1e-12)
 
 
 def test_sentinel_offsets_behave_as_class_zero():
@@ -28,7 +29,8 @@ def test_sentinel_offsets_behave_as_class_zero():
     a[::3, 0] = -1
     b = offs.copy()
     b[::3, 0] = np.iinfo(np.int64).min // 2
-    np.testing.assert_allclose(cross_val_scores(a), cross_val_scores(b))
+    np.testing.assert_allclose(cross_val_scores(pred_thresholds(a)),
+                               cross_val_scores(pred_thresholds(b)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -36,14 +38,14 @@ def test_sentinel_offsets_behave_as_class_zero():
 def test_property_vectorised_equals_naive(seed, k, m):
     rng = np.random.default_rng(seed)
     offs = rng.integers(-m, m, size=(m, k))
-    np.testing.assert_allclose(
-        cross_val_scores(offs), cross_val_scores_naive(offs), atol=1e-12)
+    np.testing.assert_allclose(cross_val_scores(pred_thresholds(offs)),
+                               cross_val_scores_naive(offs), atol=1e-12)
 
 
 def test_scores_bounded():
     rng = np.random.default_rng(11)
     offs = rng.integers(-5, 50, size=(50, 3))
-    p = cross_val_scores(offs)
+    p = cross_val_scores(pred_thresholds(offs))
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
 
@@ -57,7 +59,7 @@ def test_perfect_split_scores_one():
         else:
             pool = [p for p in range(10, 20) if p != j]
         offs[j] = pool[:3]
-    p = cross_val_scores(offs)
+    p = cross_val_scores(pred_thresholds(offs))
     assert np.isclose(p[9], 1.0)          # split s=10
     assert p[9] == p.max()
 
@@ -72,12 +74,34 @@ def test_pred_thresholds_majority_rule():
     assert (offs[0] < 5).sum() < 2
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_pred_thresholds_equals_partition(k):
+    """The min/max selection picks the ceil(k/2)-th smallest offset of
+    each row exactly, including negative offsets and the unset
+    sentinel."""
+    rng = np.random.default_rng(k)
+    m = 200
+    offs = rng.integers(-40, m, size=(m, k))
+    offs[::3, rng.integers(k)] = StreamingKNN._UNSET
+    offs[5] = StreamingKNN._UNSET
+    offs[7] = -1
+    need = (k + 1) // 2
+    want = np.partition(offs, need - 1, axis=1)[:, need - 1]
+    got = pred_thresholds(offs)
+    assert got.dtype == offs.dtype
+    np.testing.assert_array_equal(got, want)
+    # a fresh array, not a view of the offsets
+    got[:] = 0
+    assert np.array_equal(pred_thresholds(offs), want)
+
+
 def test_split_label_counts_matches_bruteforce():
     rng = np.random.default_rng(13)
     m, k = 25, 3
     offs = rng.integers(-4, m, size=(m, k))
+    t = pred_thresholds(offs)
     for s in [1, 5, 12, 24]:
-        l0, l1, r0, r1 = split_label_counts(offs, s)
+        l0, l1, r0, r1 = split_label_counts(t, s)
         zeros = (offs < s).sum(axis=1)
         pred0 = zeros >= 2
         j = np.arange(m)
@@ -89,7 +113,7 @@ def test_split_label_counts_matches_bruteforce():
 
 
 def test_degenerate_sizes():
-    assert cross_val_scores(np.empty((0, 3), dtype=int)).size == 0
-    assert cross_val_scores(np.zeros((1, 3), dtype=int)).size == 0
-    assert cross_val_scores(np.zeros((2, 3), dtype=int)).size == 1
+    for m, size in [(0, 0), (1, 0), (2, 1)]:
+        t = pred_thresholds(np.zeros((m, 3), dtype=int))
+        assert cross_val_scores(t).size == size
 

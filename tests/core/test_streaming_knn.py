@@ -1,8 +1,11 @@
 """Exactness tests for the streaming k-NN (paper Algorithm 2)."""
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.streaming_knn import (StreamingKNN, batch_knn,
+from repro.core import streaming_knn
+from repro.core.streaming_knn import (StreamingKNN, _safe_pearson, batch_knn,
                                       pairwise_pearson)
 
 
@@ -34,12 +37,13 @@ def test_streaming_equals_batch_no_egress(signal, w, k):
     # Indices may differ only where correlations tie; require value
     # equality of the correlations implied by the chosen indices.
     assert s.N.shape == N_b.shape
-    mism = s.relative_offsets() != N_b
+    rel = s.N - s.start_abs
+    mism = rel != N_b
     if mism.any():
         corr = pairwise_pearson(T, w)
         rows, cols = np.nonzero(mism)
         for j, c in zip(rows, cols):
-            got = s.relative_offsets()[j, c]
+            got = rel[j, c]
             exp = N_b[j, c]
             assert got >= 0 and np.isclose(
                 corr[j, got], corr[j, exp], atol=1e-8)
@@ -75,7 +79,7 @@ def test_stored_correlations_consistent_after_egress():
     for x in T:
         s.update(x)
     corr = pairwise_pearson(s.win, w)
-    rel = s.relative_offsets()
+    rel = s.N - s.start_abs
     m = s.n_subseqs
     for j in range(m):
         for c in range(k):
@@ -90,7 +94,7 @@ def test_exclusion_zone_respected():
     s = StreamingKNN(d=400, w=w, k=k)
     for x in T:
         s.update(x)
-    rel = s.relative_offsets()
+    rel = s.N - s.start_abs
     m = s.n_subseqs
     for j in range(m):
         for o in rel[j]:
@@ -154,3 +158,81 @@ def test_pairwise_pearson_matches_numpy_corrcoef():
         for j in range(0, m, 11):
             expect = np.corrcoef(T[i:i + w], T[j:j + w])[0, 1]
             assert np.isclose(corr[i, j], expect, atol=1e-8)
+
+
+def _with_flat_stretch(n, flat_at, flat_len, seed=6):
+    x = _signals(n, seed)["mix"].copy()
+    x[flat_at:flat_at + flat_len] = 0.3
+    return x
+
+
+def test_stats_equal_numpy_after_egress_wrap_and_flat():
+    """Each subsequence's mean and std, computed once when it enters the
+    window, must stay those of its values while the window slides, the
+    buffers wrap, and a flat stretch passes through."""
+    d, w = 50, 7
+    T = _with_flat_stretch(3 * d + 17, flat_at=125, flat_len=30)
+    s = StreamingKNN(d=d, w=w, k=3)
+    wrapped = False
+    for i, x in enumerate(T):
+        s.update(x)
+        wrapped |= i >= d and s._off == 0
+        if i < 2 * d:
+            continue
+        subs = np.lib.stride_tricks.sliding_window_view(s.win, w)
+        assert len(s.mu) == len(s.sig) == len(subs) == s.n_subseqs
+        for j, sub in enumerate(subs):
+            assert abs(s.mu[j] - np.mean(sub)) <= 1e-12
+            assert abs(s.sig[j] - np.std(sub)) <= 1e-12
+    assert wrapped
+    flat = s.sig < 1e-12
+    assert flat.any() and not flat.all()
+
+
+def _state(s):
+    return [a.tobytes() for a in (s.win, s._q, s.C, s.N, s.mu, s.sig)]
+
+
+@pytest.mark.parametrize("block", [1 << 16, 16])
+def test_pickle_round_trip_around_buffer_wrap(monkeypatch, block):
+    """A k-NN restored from a pickle taken just before, at or just after
+    a buffer wrap holds the same window, dot products and rows, and
+    produces the same outputs as an uninterrupted instance, bit for bit;
+    the pickle carries no buffer slack.  A small ``_STATS_BLOCK`` makes
+    the load recompute the statistics in several blocks."""
+    monkeypatch.setattr(streaming_knn, "_STATS_BLOCK", block)
+    d, w, k = 40, 6, 3
+    T = _with_flat_stretch(4 * d, flat_at=2 * d - 10, flat_len=15)
+    ref = StreamingKNN(d=d, w=w, k=k)
+    outs, offs = [], []
+    for x in T:
+        corr = ref.update(x)
+        outs.append(None if corr is None else corr.tobytes())
+        offs.append(ref._off)
+    wrap = next(i for i in range(d, len(T)) if offs[i] == 0)
+    for cut in (wrap - 1, wrap, wrap + 1):
+        a = StreamingKNN(d=d, w=w, k=k)
+        for x in T[:cut + 1]:
+            a.update(x)
+        blob = pickle.dumps(a)
+        b = pickle.loads(blob)
+        assert _state(b) == _state(a)
+        m = b.n_subseqs
+        assert len(blob) < 8 * (d + m + 2 * m * k) + 1_000
+        for i in range(cut + 1, len(T)):
+            assert b.update(T[i]).tobytes() == outs[i], (cut, i)
+        assert _state(b) == _state(ref)
+        assert (b.pos, b.start_abs) == (ref.pos, ref.start_abs)
+
+
+def test_safe_pearson_flat_rows():
+    """Flat-vs-flat correlates 1, flat vs non-flat 0, in both roles."""
+    w = 4
+    subs = np.array([[1.0, 2.0, 0.0, 5.0], [2.0, 2.0, 2.0, 2.0],
+                     [0.0, 1.0, 3.0, 1.0]])
+    mu, sig = subs.mean(axis=1), subs.std(axis=1)
+    got = _safe_pearson(subs @ subs[1], w, mu, sig, mu[1], sig[1])
+    np.testing.assert_array_equal(got, [0.0, 1.0, 0.0])
+    got = _safe_pearson(subs @ subs[0], w, mu, sig, mu[0], sig[0])
+    assert got[1] == 0.0 and got[0] == pytest.approx(1.0)
+    assert got[2] == pytest.approx(np.corrcoef(subs[0], subs[2])[0, 1])
