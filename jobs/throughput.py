@@ -1,27 +1,21 @@
 """Regenerate Section 4.4 throughput numbers (standalone per-method
-throughput, the Structured Streaming operator throughput, and the
-window-size sweep).
+throughput and the window-size sweep).  The Structured Streaming
+operator's throughput is measured by ``python3 perfbench/run.py
+--workload operator-keys``.
 
 Usage: python jobs/throughput.py [--n 8000]
 """
 from __future__ import annotations
 
 import argparse
-import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_session  # noqa: E402
+from repro.harness.throughput import standalone_throughput, sweep_window_size
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=8000)
     args = ap.parse_args()
-    spark = get_session("throughput")
-    from repro.harness.throughput import (operator_throughput,
-                                          standalone_throughput,
-                                          sweep_window_size)
-
     methods = {
         "hddm": {}, "ddm": {}, "adwin": {}, "newma": {"w": 25},
         "window": {"w": 25}, "changefinder": {},
@@ -29,11 +23,8 @@ def main() -> None:
     }
     print("\n=== Standalone throughput (single core) ===")
     print(standalone_throughput(methods, n=args.n).to_string(index=False))
-    print("\n=== Structured Streaming ClaSS operator ===")
-    print(operator_throughput(spark, n=args.n))
     print("\n=== Window size sweep (throughput vs Covering) ===")
     print(sweep_window_size(n=args.n).to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

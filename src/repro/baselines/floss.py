@@ -1,15 +1,19 @@
 """FLOSS — Fast Low-cost Online Semantic Segmentation (Gharghabi et al.).
 
 The strongest data-mining competitor in the paper (Table 2: matrix
-profile, O(d log d) update — ours is O(d) thanks to the shared
-incremental dot-product machinery).  FLOSS maintains, over the sliding
-window, each subsequence's *right*-constrained 1-nearest neighbour
-(arcs only point forward in time so egressing data cannot invalidate
-them), counts how many arcs cross every window position (the arc
-curve), and normalises by the expected crossings of temporally random
-arcs (the corrected arc curve, CAC).  A valley of the CAC below a
-learned threshold (paper: 0.45) is reported as a change point, with an
-exclusion zone to suppress series of nearby reports.
+profile, O(d log d) update — ours is O(d) because it shares ClaSS's
+streaming k-NN).  FLOSS maintains, over the sliding window, each
+subsequence's *right*-constrained 1-nearest neighbour (arcs only point
+forward in time so egressing data cannot invalidate them).  These are
+the rows of a ``k = 1`` :class:`~repro.core.streaming_knn.StreamingKNN`
+fed by ``slide`` + ``adopt`` only: a row never receives older
+neighbours, only younger subsequences outside the exclusion zone that
+strictly beat its stored one.  FLOSS counts how many arcs cross every
+window position (the arc curve), and normalises by the expected
+crossings of temporally random arcs (the corrected arc curve, CAC).  A
+valley of the CAC below a learned threshold (paper: 0.45) is reported as
+a change point, with an exclusion zone to suppress series of nearby
+reports.
 
 The idealised arc curve for *one-directional* arcs is computed exactly
 under the uniform-random-arc model: with ``m`` subsequences, an arc
@@ -67,33 +71,18 @@ class FLOSS(StreamingDetector):
         self.excl = EXCL_FACTOR * w
         self._streak = 0
         self._streak_pos = -10**18
+        # Row j holds subsequence j's right-constrained 1-NN: its
+        # absolute position (``_UNSET`` < 0 while none) and correlation.
         self._knn = StreamingKNN(d, w, k=1)
-        # Right-NN per subsequence, absolute positions; -1 = none yet.
-        self._rnn = np.empty(0, dtype=np.int64)
-        self._rnn_corr = np.empty(0, dtype=np.float64)
         self._last_cp = -10**18
 
     def _step(self, x: float) -> int | None:
         knn = self._knn
-        at_capacity = len(knn.win) == knn.d
-        corr = knn.update(x)
+        corr = knn.slide(x)
         if corr is None:
             return None
+        knn.adopt(corr)
         m = knn.n_subseqs
-        if at_capacity:
-            self._rnn = self._rnn[1:]
-            self._rnn_corr = self._rnn_corr[1:]
-        self._rnn = np.append(self._rnn, -1)
-        self._rnn_corr = np.append(self._rnn_corr, -np.inf)
-        new_abs = knn.start_abs + m - 1
-        if m >= 2:
-            # Older subsequences adopt the newest as right-NN when closer
-            # (in correlation) than their current one; trivial-match zone
-            # as in the k-NN.
-            gap_ok = np.arange(m - 1) < m - 1 - knn.excl
-            better = (corr[:m - 1] > self._rnn_corr[:m - 1]) & gap_ok
-            self._rnn[:m - 1][better] = new_abs
-            self._rnn_corr[:m - 1][better] = corr[:m - 1][better]
 
         if m < max(2 * self.excl, 3 * self.w):
             return None
@@ -103,7 +92,7 @@ class FLOSS(StreamingDetector):
         if float(np.std(knn.win)) < 1e-9:
             return None
         # Arc curve: arc (j -> r) crosses boundaries j < i <= r.
-        rel = self._rnn - knn.start_abs
+        rel = knn.N[:, 0] - knn.start_abs
         src = np.nonzero(rel >= 0)[0]
         if src.size == 0:
             return None

@@ -78,9 +78,9 @@ class ClaSS(StreamingDetector):
         self._warmup: list[float] = []
         self._knn: StreamingKNN | None = None
         self._w: int | None = cfg.w
-        # Window-relative subsequence index where the unsegmented region
-        # starts (the last CP); 0 = the whole window is unsegmented.
-        self._region_start = 0
+        # Stream position where the unsegmented region starts: the last
+        # CP, or 0 before the first.
+        self._region_start_abs = 0
         self._rng = np.random.default_rng(SEED)
 
     # ------------------------------------------------------------------
@@ -119,41 +119,35 @@ class ClaSS(StreamingDetector):
         knn = self._knn
         assert knn is not None and self._w is not None
         w = self._w
-        at_capacity = len(knn.win) == knn.d
         knn.update(x)
-        if at_capacity and self._region_start > 0:
-            # Account for the shift of the window (paper Alg. 1 line 6).
-            self._region_start -= 1
-        m_total = knn.n_subseqs
-        region = m_total - self._region_start
+        # The region starts at the last CP, or at the window's start once
+        # that CP has egressed (paper Alg. 1 line 6).
+        rs = max(0, self._region_start_abs - knn.start_abs)
+        region = knn.n_subseqs - rs
         # Valid splits keep EXCL_FACTOR*w subsequences on both sides.
+        # Passing this check means region >= 2*EXCL_FACTOR*w >= 30, so
+        # the profile has region - 1 >= 29 entries and the slice below
+        # at least one.
         margin = EXCL_FACTOR * w
         valid_lo, valid_hi = margin, region - margin  # s in [lo, hi]
-        if valid_hi < valid_lo or m_total < 2:
+        if valid_hi < valid_lo:
             return None
 
         # Flip thresholds once per point, region-relative (the k-th
         # smallest commutes with the shift from absolute positions).
-        rs = self._region_start
         t = pred_thresholds(knn.N[rs:])
         t -= knn.start_abs + rs
         profile = cross_val_scores(t)
-        if profile.size == 0:
-            return None
-        window_scores = profile[valid_lo - 1:valid_hi]
-        if window_scores.size == 0:
-            return None
-        s_best = valid_lo + int(np.argmax(window_scores))
+        s_best = valid_lo + int(np.argmax(profile[valid_lo - 1:valid_hi]))
 
         l0, l1, r0, r1 = split_label_counts(t, s_best)
         p = resampled_rank_sum_test(
             l0, l1, r0, r1, sample_size=SAMPLE_SIZE, rng=self._rng)
         if p > P_THRESHOLD:
             return None
-        # CP in window time coordinates: region_start + s + w - 1
-        cp_window = self._region_start + s_best + w - 1
-        self._region_start = cp_window
-        return knn.start_abs + cp_window
+        # The CP as a stream position; the next region starts there.
+        self._region_start_abs = knn.start_abs + rs + s_best + w - 1
+        return self._region_start_abs
 
 
 DETECTOR_REGISTRY["class"] = ClaSS

@@ -5,6 +5,13 @@ an exact streaming TS k-NN under z-normalised Pearson correlation that
 costs ``O(k * d)`` per arriving data point, via STOMP-style incremental
 dot products (paper Eqns. 1-5).
 
+``update`` is :meth:`~StreamingKNN.slide` (the window shift, the newest
+subsequence's statistics, dot products and correlations, and an empty
+row for it), the newest row's own neighbour search, and
+:meth:`~StreamingKNN.adopt` (the "k-NN Update").  No other module knows
+how the window shifts: FLOSS runs ``slide`` + ``adopt`` at ``k = 1``,
+so its rows are right-constrained 1-NN arcs.
+
 Coordinates
 -----------
 The sliding window holds the latest ``L <= d`` points.  Width-``w``
@@ -44,7 +51,10 @@ as no point has egressed, row ``j`` holds the exact top-``k`` neighbours
 of subsequence ``j`` among *all* subsequences ``i`` with
 ``|i - j| > exclusion`` — at insertion time the row receives the best
 older candidates, and every younger subsequence that beats the row's
-worst stored neighbour is folded in by the "k-NN Update" step.
+worst stored neighbour is folded in by the "k-NN Update" step.  With
+``slide`` + ``adopt`` alone, row ``j`` holds the top-``k`` among the
+subsequences ``i > j + exclusion`` seen so far, before and after
+egress, since those never egress before ``j``.
 """
 from __future__ import annotations
 
@@ -211,15 +221,15 @@ class StreamingKNN:
         self._off = 0
 
     # ------------------------------------------------------------------
-    def update(self, x: float) -> np.ndarray | None:
-        """Ingress one data point; O(k*d) (paper Section 3.6).
+    def slide(self, x: float) -> np.ndarray | None:
+        """Ingress one data point, leaving the older rows alone; O(d).
 
-        Returns the Pearson correlations between the newest subsequence
-        and every subsequence in the window (or ``None`` while the
-        window holds fewer than ``w`` points) — FLOSS reuses this vector
-        for its right-constrained 1-NN arcs.
+        The newest subsequence gets an empty row (``-inf`` / ``_UNSET``).
+        Returns its Pearson correlations with every subsequence in the
+        window, or ``None`` while the window holds fewer than ``w``
+        points.
         """
-        w, k, d = self.w, self.k, self.d
+        w, d = self.w, self.d
         L = self.pos - self.start_abs
         at_capacity = L == d
         if at_capacity:
@@ -258,25 +268,21 @@ class StreamingKNN:
         np.multiply(win[0:m], win[L - w], out=q)
         np.subtract(q_full, q, out=q)
 
-        # --- row of the newest subsequence (lines 21-24) --------------
-        C, N = self._C, self._N
-        C[new] = -np.inf
-        N[new] = self._UNSET
-        n_cand = m - 1 - self.excl
+        self._C[new] = -np.inf
+        self._N[new] = self._UNSET
+        return corr
+
+    def adopt(self, corr: np.ndarray) -> None:
+        """The "k-NN Update" step (paper Alg. 2 lines 23-24): every older
+        row outside the newest subsequence's exclusion zone takes the
+        newest subsequence when ``corr`` (as returned by :meth:`slide`)
+        strictly beats the row's worst stored neighbour."""
+        k, off = self.k, self._off
+        n_cand = self.n_subseqs - 1 - self.excl
         if n_cand < 1:
-            return corr
-
-        # (a) k-NN of the newest subsequence among non-trivial older ones.
+            return
         cand = corr[:n_cand]
-        top = min(k, n_cand)
-        sel = np.argpartition(-cand, top - 1)[:top]
-        sel = sel[np.argsort(-cand[sel], kind="stable")]
-        C[new, :top] = cand[sel]
-        N[new, :top] = sel + self.start_abs
-
-        # (c) older rows outside the newest's exclusion zone adopt it
-        # when it beats their worst stored neighbour (lines 23-24).
-        Cr, Nr = C[off:off + n_cand], N[off:off + n_cand]
+        Cr, Nr = self._C[off:off + n_cand], self._N[off:off + n_cand]
         rows = np.flatnonzero(cand > Cr[:, k - 1])
         if rows.size:
             cvals = cand[rows]
@@ -287,7 +293,31 @@ class StreamingKNN:
                 Cr[mv, col] = Cr[mv, col - 1]
                 Nr[mv, col] = Nr[mv, col - 1]
             Cr[rows, ins] = cvals
-            Nr[rows, ins] = self.start_abs + m - 1
+            Nr[rows, ins] = self.pos - self.w   # the newest's start
+
+    def update(self, x: float) -> np.ndarray | None:
+        """Ingress one data point; O(k*d) (paper Section 3.6).
+
+        :meth:`slide`, then (a) the newest row receives its ``k`` best
+        neighbours among the older subsequences outside its exclusion
+        zone (lines 21-22), then :meth:`adopt`.  Returns what
+        :meth:`slide` returns.
+        """
+        corr = self.slide(x)
+        if corr is None:
+            return None
+        m = self.n_subseqs
+        n_cand = m - 1 - self.excl
+        if n_cand < 1:
+            return corr
+        cand = corr[:n_cand]
+        top = min(self.k, n_cand)
+        sel = np.argpartition(-cand, top - 1)[:top]
+        sel = sel[np.argsort(-cand[sel], kind="stable")]
+        new = self._off + m - 1
+        self._C[new, :top] = cand[sel]
+        self._N[new, :top] = sel + self.start_abs
+        self.adopt(corr)
         return corr
 
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.floss import FLOSS, ideal_arc_curve_1d
+from repro.harness.throughput import _test_stream
 
 
 def test_iac_positive_and_peaked_inside():
@@ -58,10 +59,11 @@ def test_floss_arcs_point_right():
     det = FLOSS(d=600, w=15, threshold=0.0)  # threshold 0: never fires
     det.run(np.sin(2 * np.pi * np.arange(800) / 15)
             + 0.05 * rng.standard_normal(800))
-    rel = det._rnn - det._knn.start_abs
+    rnn = det._knn.N[:, 0]
+    rel = rnn - det._knn.start_abs
     m = det._knn.n_subseqs
     idx = np.arange(m)
-    set_mask = det._rnn >= 0
+    set_mask = rnn >= 0
     assert np.all(rel[set_mask] > idx[set_mask])
 
 
@@ -74,3 +76,14 @@ def test_floss_exclusion_zone_suppresses_repeats():
     cps = det.run(np.concatenate([a, b]))
     diffs = np.diff(cps)
     assert np.all(diffs > det.excl)
+
+
+@pytest.mark.parametrize("d,expected", [
+    (500, [1886, 2012, 3964, 6001]),
+    (1000, [1586, 1986, 3949, 5859, 6001]),
+])
+def test_floss_golden_change_points(d, expected):
+    """Pins FLOSS's output, so a change to the shared k-NN that moves
+    an arc shows up here."""
+    series, _ = _test_stream(8000)
+    assert FLOSS(d=d, w=25).run(series) == expected

@@ -1,5 +1,7 @@
 """End-to-end tests of the ClaSS state machine (paper Algorithm 1)."""
+import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +149,26 @@ def test_change_points_strictly_increasing_and_in_range():
 def test_unusable_config_fails_at_construction(params, error):
     with pytest.raises(error):
         ClaSS(**params)
+
+
+REFS = Path(__file__).resolve().parents[2] / "perfbench" / "refs"
+
+
+def test_reproduces_committed_corpus_references():
+    """The exactness oracle: on the five shortest ``tssb-lite`` series of
+    the corpus, ClaSS(d=1000) emits the committed reference CPs, each
+    after the same number of fed points."""
+    from repro.datasets.archives import make_corpus
+
+    refs = json.loads((REFS / "corpus_d1000.json").read_text())
+    assert refs["d"] == 1000 and refs["corpus_seed"] == 0
+    recs = [r for r in make_corpus(0) if r.dataset == "tssb-lite"]
+    recs = sorted(recs, key=lambda r: (r.n, r.series_id))[:5]
+    n_cps = 0
+    for rec in recs:
+        cls = ClaSS(ClaSSConfig(d=1000))
+        emitted = [[i + 1, cp] for i, v in enumerate(rec.values)
+                   for cp in cls.feed([v])]
+        assert emitted == refs["series"][rec.series_id], rec.series_id
+        n_cps += len(emitted)
+    assert n_cps > 0

@@ -236,3 +236,37 @@ def test_safe_pearson_flat_rows():
     got = _safe_pearson(subs @ subs[0], w, mu, sig, mu[0], sig[0])
     assert got[1] == 0.0 and got[0] == pytest.approx(1.0)
     assert got[2] == pytest.approx(np.corrcoef(subs[0], subs[2])[0, 1])
+
+
+def test_slide_adopt_rows_are_right_constrained_1nn():
+    """With ``slide`` + ``adopt`` at k=1 (FLOSS's use), after every point
+    each row holds its right-constrained 1-NN: the best subsequence at
+    an offset ``> j + excl``, ties going to the oldest, or nothing
+    (``-inf`` / ``_UNSET``) when there is none.  Covers the growing
+    window, egress and a flat stretch, whose correlations tie exactly."""
+    d, w = 60, 8
+    T = _with_flat_stretch(3 * d, flat_at=100, flat_len=20)
+    s = StreamingKNN(d=d, w=w, k=1)
+    for x in T:
+        corr = s.slide(x)
+        if corr is None:
+            continue
+        s.adopt(corr)
+        m = s.n_subseqs
+        brute = pairwise_pearson(s.win, w)
+        got = s.N[:, 0] - s.start_abs
+        for j in range(m):
+            cand = np.arange(j + s.excl + 1, m)
+            if cand.size == 0:
+                assert s.C[j, 0] == -np.inf
+                assert s.N[j, 0] == StreamingKNN._UNSET
+                continue
+            best = cand[np.argmax(brute[j, cand])]
+            assert np.isclose(s.C[j, 0], brute[j, best], atol=1e-8)
+            if got[j] != best:
+                # Only a near-tie (not an exact one) may go either way.
+                assert got[j] in cand
+                assert brute[j, got[j]] != brute[j, best]
+                assert np.isclose(brute[j, got[j]], brute[j, best],
+                                  atol=1e-9)
+    assert s.start_abs > d

@@ -115,6 +115,41 @@ def test_test_stream_has_cps():
     assert cps == [2000, 4000]
 
 
+def _frozen_test_stream(n, seed):
+    """``_test_stream`` as it was written before it used ``gen_segment``;
+    the committed stream-d10k reference CPs were computed on its output."""
+    rng = np.random.default_rng(seed)
+    parts, cps, pos = [], [], 0
+    kinds = ["sine", "square", "saw"]
+    i = 0
+    while pos < n:
+        ln = min(2000, n - pos)
+        t = np.arange(ln)
+        p = 20 + 13 * (i % 3)
+        k = kinds[i % 3]
+        if k == "sine":
+            x = np.sin(2 * np.pi * t / p)
+        elif k == "square":
+            x = np.sign(np.sin(2 * np.pi * t / p))
+        else:
+            x = 2 * ((t / p) % 1) - 1
+        parts.append(x + 0.1 * rng.standard_normal(ln))
+        pos += ln
+        if pos < n:
+            cps.append(pos)
+        i += 1
+    return np.concatenate(parts), cps
+
+
+@pytest.mark.parametrize("n", [5000, 8000, 12345, 60000])
+def test_test_stream_bytes_unchanged(n):
+    for seed in range(8):
+        series, cps = _test_stream(n, seed)
+        old, old_cps = _frozen_test_stream(n, seed)
+        assert series.tobytes() == old.tobytes(), seed
+        assert cps == old_cps
+
+
 def test_standalone_throughput_frame():
     out = standalone_throughput({"ddm": {}, "hddm": {}}, n=2000)
     assert set(out["method"]) == {"ddm", "hddm"}
