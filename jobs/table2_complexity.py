@@ -1,23 +1,18 @@
 """Regenerate Table 2 (competitor spec + measured update complexity).
 
+Times every detector in this process; no Spark session is started.
+
 Usage: python jobs/table2_complexity.py
 """
 from __future__ import annotations
 
-import sys
-
-sys.path.insert(0, "jobs")
-from _session import get_session  # noqa: E402
+from repro.harness.complexity import run_table2
 
 
 def main() -> None:
-    spark = get_session("table2")
-    from repro.harness.complexity import run_table2
-
-    out = run_table2(spark)
+    out = run_table2()
     print("\n=== Table 2 (spec + fitted update-time growth exponent) ===")
     print(out.to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

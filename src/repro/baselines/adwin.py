@@ -46,7 +46,6 @@ class ADWIN(StreamingDetector):
         self.variance = 0.0  # sum of squared deviations (n * sigma^2)
         self._lo = math.inf
         self._hi = -math.inf
-        self._last_cp = -10**18
 
     # -- exponential histogram maintenance ----------------------------
     def _insert(self, x: float) -> None:
@@ -129,9 +128,7 @@ class ADWIN(StreamingDetector):
                     boundary = self.pos - n1
                     self._drop_oldest()
                     shrunk = True
-                    if (cp is None
-                            and boundary - self._last_cp > EXCL):
+                    if cp is None and self._spaced(boundary, EXCL):
                         cp = boundary
-                        self._last_cp = boundary
                     break
         return cp

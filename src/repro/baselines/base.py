@@ -33,6 +33,8 @@ MIN_N = 10      # ErrorStream: values seen before any error is flagged
 class StreamingDetector(ABC):
     """One-value-at-a-time change point detector."""
 
+    _last_cp = -10**18                    # last position _spaced accepted
+
     def __init__(self) -> None:
         self.pos = 0                      # values ingested so far
         self.change_points: list[int] = []
@@ -42,6 +44,15 @@ class StreamingDetector(ABC):
         """Process one value; return a CP position or None.  A step
         that finds several CPs appends all but the latest to
         :attr:`change_points` itself."""
+
+    def _spaced(self, pos: int, excl: int) -> bool:
+        """True, and ``pos`` recorded, if ``pos`` lies more than ``excl``
+        past the last recorded position: the competitors' exclusion zone
+        between two reported CPs."""
+        if pos - self._last_cp <= excl:
+            return False
+        self._last_cp = pos
+        return True
 
     def update(self, x: float) -> int | None:
         """Ingest one value; return the latest CP of this step, or None.

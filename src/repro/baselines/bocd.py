@@ -56,7 +56,6 @@ class BOCD(StreamingDetector):
             np.array([v]) for v in PRIOR)
         self.runs = np.array([0])           # run length per slot
         self._map_prev = 0
-        self._last_cp = -10**18
 
     @staticmethod
     def _t_logpdf(x, df, loc, scale):
@@ -98,8 +97,7 @@ class BOCD(StreamingDetector):
         map_run = int(self.runs[int(np.argmax(self.r))])
         cp = None
         if (self._map_prev - map_run > self.drop
-                and self.pos - self._last_cp > EXCL):
+                and self._spaced(self.pos, EXCL)):
             cp = self.pos - map_run
-            self._last_cp = self.pos
         self._map_prev = map_run
         return cp

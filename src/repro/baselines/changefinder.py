@@ -97,7 +97,6 @@ class ChangeFinder(StreamingDetector):
         self.buf1: deque[float] = deque(maxlen=SMOOTH)
         self.buf2: deque[float] = deque(maxlen=SMOOTH)
         self.threshold = threshold
-        self._last_cp = -10**18
         self.last_score = 0.0
 
     def _step(self, x: float) -> int | None:
@@ -112,7 +111,4 @@ class ChangeFinder(StreamingDetector):
             return None
         if self.last_score <= self.threshold:
             return None
-        if self.pos - self._last_cp <= EXCL:
-            return None
-        self._last_cp = self.pos
-        return self.pos
+        return self.pos if self._spaced(self.pos, EXCL) else None

@@ -28,7 +28,6 @@ class DDM(StreamingDetector):
         self.drift_level = drift_level
         self.errors = ErrorStream()
         self._reset()
-        self._last_cp = -10**18
 
     def _reset(self) -> None:
         self.n = 0
@@ -49,9 +48,8 @@ class DDM(StreamingDetector):
             self.psmin = self.p + self.s
             self.pmin, self.smin = self.p, self.s
         if (self.p + self.s > self.pmin + self.drift_level * self.smin
-                and self.pos - self._last_cp > EXCL):
+                and self._spaced(self.pos, EXCL)):
             self._reset()
             self.errors.reset()
-            self._last_cp = self.pos
             return self.pos
         return None

@@ -74,7 +74,6 @@ class FLOSS(StreamingDetector):
         # Row j holds subsequence j's right-constrained 1-NN: its
         # absolute position (``_UNSET`` < 0 while none) and correlation.
         self._knn = StreamingKNN(d, w, k=1)
-        self._last_cp = -10**18
 
     def _step(self, x: float) -> int | None:
         knn = self._knn
@@ -119,7 +118,4 @@ class FLOSS(StreamingDetector):
         self._streak_pos = cp_abs
         if self._streak < PATIENCE:
             return None
-        if cp_abs - self._last_cp <= self.excl:
-            return None
-        self._last_cp = cp_abs
-        return cp_abs
+        return cp_abs if self._spaced(cp_abs, self.excl) else None

@@ -30,7 +30,6 @@ class HDDM(StreamingDetector):
         self.alpha = drift_confidence
         self.errors = ErrorStream()
         self._reset()
-        self._last_cp = -10**18
 
     def _reset(self) -> None:
         self.n = 0
@@ -63,9 +62,8 @@ class HDDM(StreamingDetector):
             (1.0 / self.n_cut + 1.0 / n_rest) / 2.0
             * math.log(1.0 / self.alpha))
         if (mean_rest - mean_cut > eps
-                and self.pos - self._last_cp > EXCL):
+                and self._spaced(self.pos, EXCL)):
             self._reset()
             self.errors.reset()
-            self._last_cp = self.pos
             return self.pos
         return None

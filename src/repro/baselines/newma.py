@@ -44,7 +44,6 @@ class NEWMA(StreamingDetector):
         self.m_slow = np.zeros(N_FEATURES)
         self.lags: deque[float] = deque(maxlen=w)
         self.stats: deque[float] = deque(maxlen=HISTORY)
-        self._last_cp = -10**18
         self.last_score = 0.0
 
     def _feat(self) -> np.ndarray:
@@ -68,11 +67,8 @@ class NEWMA(StreamingDetector):
         else:
             thr = np.inf
         self.stats.append(stat)
-        if stat <= thr:
+        if stat <= thr or not self._spaced(self.pos, self.excl):
             return None
-        if self.pos - self._last_cp <= self.excl:
-            return None
-        self._last_cp = self.pos
         # Reset averages so one change yields one report.
         self.m_fast = z.copy()
         self.m_slow = z.copy()

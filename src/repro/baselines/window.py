@@ -54,7 +54,6 @@ class WindowSegmenter(StreamingDetector):
         self.stride = stride if stride is not None else max(1, w // 2)
         self.excl = self.c // 2
         self.buf: deque[float] = deque(maxlen=self.c)
-        self._last_cp = -10**18
         self.last_score = 0.0
 
     def _step(self, x: float) -> int | None:
@@ -69,7 +68,4 @@ class WindowSegmenter(StreamingDetector):
         if self.last_score <= self.threshold:
             return None
         cp = self.pos - half  # buffer centre, absolute
-        if cp - self._last_cp <= self.excl:
-            return None
-        self._last_cp = cp
-        return cp
+        return cp if self._spaced(cp, self.excl) else None

@@ -10,7 +10,7 @@ regression.  Methods whose update is independent of the window
 and FLOSS (O(d)) near 1; this validates the complexity column without
 the authors' hardware.
 
-One Spark task times every cell, round-robin, keeping each cell's
+The calling process times every cell, round-robin, keeping each cell's
 fastest of ``REPEATS``: machine load drifts over seconds and moves a
 single timing up to 2x.
 """
@@ -21,7 +21,8 @@ import time
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+
+from repro.baselines.base import make_detector
 
 __all__ = ["TABLE2_SPEC", "measure_update_times", "fit_exponents", "run_table2"]
 
@@ -55,13 +56,15 @@ _SWEEP_PARAM = {
 }
 
 
-def _time_cells(cells: list[tuple[str, int]], n_points: int,
-                seed: int) -> list[float]:
-    """Mean per-point update seconds per (method, d) cell on the
+def measure_update_times(window_sizes=(500, 1000, 2000, 4000),
+                         n_points: int = 1500,
+                         methods: list[str] | None = None,
+                         seed: int = 0) -> pd.DataFrame:
+    """(method, d) grid of mean per-point update times on the
     post-warm-up steady state: the fastest of ``REPEATS`` round-robin
     rounds, each timing a copy of every cell's warmed-up detector."""
-    from repro.baselines.base import make_detector
-
+    methods = methods or list(_SWEEP_PARAM)
+    cells = [(m, int(d)) for m in methods for d in window_sizes]
     warm = []
     for m, d in cells:
         rng = np.random.default_rng(seed)
@@ -77,21 +80,7 @@ def _time_cells(cells: list[tuple[str, int]], n_points: int,
             t0 = time.perf_counter()
             run.feed(rest)
             best[i] = min(best[i], time.perf_counter() - t0)
-    return list(best / n_points)
-
-
-def measure_update_times(spark: SparkSession,
-                         window_sizes=(500, 1000, 2000, 4000),
-                         n_points: int = 1500,
-                         methods: list[str] | None = None,
-                         seed: int = 0) -> pd.DataFrame:
-    """(method, d) grid of mean per-point update times, timed in one
-    Spark task."""
-    methods = methods or list(_SWEEP_PARAM)
-    cells = [(m, int(d)) for m in methods for d in window_sizes]
-    secs = spark.sparkContext.parallelize([cells], 1).map(
-        lambda cs: _time_cells(cs, n_points, seed)).first()
-    return pd.DataFrame([(*c, s) for c, s in zip(cells, secs)],
+    return pd.DataFrame([(*c, sec / n_points) for c, sec in zip(cells, best)],
                         columns=["method", "d", "sec_per_update"])
 
 
@@ -108,8 +97,8 @@ def fit_exponents(times: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def run_table2(spark: SparkSession, **kw) -> pd.DataFrame:
+def run_table2(**kw) -> pd.DataFrame:
     """Table 2 spec joined with the measured growth exponents."""
-    times = measure_update_times(spark, **kw)
+    times = measure_update_times(**kw)
     fits = fit_exponents(times)
     return TABLE2_SPEC.merge(fits, on="method", how="left")

@@ -37,6 +37,8 @@ __all__ = ["METHODS", "annotated_widths", "evaluate_method",
 # Default window size for the corpus (DESIGN.md S5: the paper's d=10k
 # scaled by the pattern-size ratio, still covering 25..60 patterns).
 D_DEFAULT = 1000
+# Share of the benchmark series in the tuning dev split (paper: 20%).
+DEV_FRAC = 0.2
 
 # method -> (fixed params, tuning grid over one knob, uses annotated w?)
 METHODS: dict[str, dict] = {
@@ -174,8 +176,7 @@ def summarize_with_oracle(spark: SparkSession,
 
 def run_table3(spark: SparkSession, seed: int = 0, tune: bool = True,
                records: list[TSRecord] | None = None,
-               methods: list[str] | None = None,
-               dev_frac: float = 0.2) -> dict:
+               methods: list[str] | None = None) -> dict:
     """The full Table 3 experiment; returns scores, summary, ranks and
     the tuned parameters."""
     records = records if records is not None else make_corpus(seed)
@@ -183,7 +184,7 @@ def run_table3(spark: SparkSession, seed: int = 0, tune: bool = True,
     bench = [r for r in records if r.collection == "benchmark"]
     rng = np.random.default_rng(seed)
     dev_ids = set(rng.choice([r.series_id for r in bench],
-                             max(1, int(dev_frac * len(bench))),
+                             max(1, int(DEV_FRAC * len(bench))),
                              replace=False))
     dev = [r for r in bench if r.series_id in dev_ids]
 

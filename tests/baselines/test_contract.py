@@ -112,3 +112,30 @@ REMOVED_OPTIONS = {
 def test_removed_option_raises(name, kw, value):
     with pytest.raises(TypeError):
         make_detector(name, **{kw: value})
+
+
+# Every competitor's CPs on a six-segment stream whose odd segments sit
+# 2.0 higher, so the drift detectors (ADWIN, DDM, HDDM) fire too.
+# Recorded before the CP-spacing rule moved into StreamingDetector;
+# ADWIN, BOCD, ChangeFinder and FLOSS report more CPs without it.
+GOLDEN = {
+    "adwin": [1999, 3999, 5999, 7991, 9983],
+    "bocd": [1999, 7991, 10183, 10275, 10367, 10459, 10551, 10643, 10735,
+             10827, 10919, 11011, 11103, 11195, 11287, 11379, 11471, 11563,
+             11655, 11747, 11839, 11931],
+    "changefinder": [2000, 8000],
+    "ddm": [2003, 4002, 6006, 8017, 10028],
+    "floss": [1991, 3963, 5859, 6000, 7960, 9996],
+    "hddm": [2029, 4029, 6029, 8030, 10054],
+    "newma": [2003, 4003, 5688, 7182, 9464],
+    "window": [11240],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_competitor_golden_change_points(name):
+    from repro.harness.throughput import _test_stream
+
+    series, _ = _test_stream(12000, 0)
+    series = series + 2.0 * (np.arange(len(series)) // 2000 % 2)
+    assert make_detector(name, **PARAMS[name]).run(series) == GOLDEN[name]

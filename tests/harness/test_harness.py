@@ -39,9 +39,9 @@ def test_table2_spec_matches_paper_rows():
     assert set(TABLE2_SPEC["method"]) == set(METHODS)
 
 
-def test_complexity_measurement_and_fit(spark):
+def test_complexity_measurement_and_fit():
     times = measure_update_times(
-        spark, window_sizes=(2000, 8000), n_points=400,
+        window_sizes=(2000, 8000), n_points=400,
         methods=["class", "ddm"])
     assert len(times) == 4
     assert (times["sec_per_update"] > 0).all()
