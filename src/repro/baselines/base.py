@@ -6,8 +6,6 @@ one at a time, and returns every change point they produced; this is
 exactly how the paper evaluates ("we simulated the streaming setting by
 processing one data point at a time"), and it is the one loop that the
 standalone runs, the harnesses and both Spark planes call.
-``run(series)`` feeds a whole finite series and returns all change
-points.
 
 ``ErrorStream`` adapts raw values into the binary error stream consumed
 by the drift detectors (DDM/HDDM), which monitor a model's error rate.
@@ -73,11 +71,6 @@ class StreamingDetector(ABC):
         for x in np.asarray(values, dtype=np.float64).tolist():
             self.update(x)
         return self.change_points[n:]
-
-    def run(self, series: np.ndarray) -> list[int]:
-        """Feed a whole series; return all CPs found so far."""
-        self.feed(series)
-        return list(self.change_points)
 
 
 class ErrorStream:

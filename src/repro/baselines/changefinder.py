@@ -58,32 +58,25 @@ class SDAR:
         r, p = self.r, self.order
         self.n += 1
         self.mu = (1 - r) * self.mu + r * x
-        # Burn-in: until the discounted statistics have seen ~1/r
-        # samples the covariance estimate is singular and the AR solve
-        # meaningless; updating sigma with its wild residuals would
-        # poison scores for thousands of steps ((1-r)^t decay).
-        if self.n <= self.burnin:
-            if len(self.hist) == p:
-                dev = x - self.mu
-                lag = np.array(self.hist)[::-1]
-                self.c[0] = (1 - r) * self.c[0] + r * dev * dev
-                self.c[1:] = (1 - r) * self.c[1:] + r * dev * (lag - self.mu)
-            self.hist.append(x)
-            return 0.0
-        if len(self.hist) == p:
+        full = len(self.hist) == p
+        if full:
             lag = np.array(self.hist)[::-1]  # x_{t-1}, ..., x_{t-p}
             dev = x - self.mu
             self.c[0] = (1 - r) * self.c[0] + r * dev * dev
             self.c[1:] = (1 - r) * self.c[1:] + r * dev * (lag - self.mu)
-            a = _levinson_durbin(self.c, p)
-            x_hat = self.mu + float(a @ (lag - self.mu))
-            err = x - x_hat
-            self.sigma = (1 - r) * self.sigma + r * err * err
-            sig = max(self.sigma, 1e-12)
-            score = 0.5 * (np.log(2 * np.pi * sig) + err * err / sig)
-        else:
-            score = 0.0
         self.hist.append(x)
+        # Burn-in: until the discounted statistics have seen ~1/r
+        # samples the covariance estimate is singular and the AR solve
+        # meaningless; updating sigma with its wild residuals would
+        # poison scores for thousands of steps ((1-r)^t decay).
+        if not full or self.n <= self.burnin:
+            return 0.0
+        a = _levinson_durbin(self.c, p)
+        x_hat = self.mu + float(a @ (lag - self.mu))
+        err = x - x_hat
+        self.sigma = (1 - r) * self.sigma + r * err * err
+        sig = max(self.sigma, 1e-12)
+        score = 0.5 * (np.log(2 * np.pi * sig) + err * err / sig)
         return float(score)
 
 

@@ -10,9 +10,16 @@ regression.  Methods whose update is independent of the window
 and FLOSS (O(d)) near 1; this validates the complexity column without
 the authors' hardware.
 
-The calling process times every cell, round-robin, keeping each cell's
-fastest of ``REPEATS``: machine load drifts over seconds and moves a
-single timing up to 2x.
+The calling process times every cell, keeping each cell's fastest of
+``REPEATS`` rounds: machine load drifts over seconds and moves a single
+timing up to 2x.  Within a round one method's cells take turns every
+``BLOCK`` updates, so the window sizes a fit compares run under the
+same load; a whole run per turn let a load change flip ClaSS's
+d=400 vs d=1200 order.  Methods take turns only between whole runs, so
+a method's cells do not run on caches another method just filled.
+This grid is the harness's one timer: the Section 4.4 throughput per
+method is its d=1000 column and the window sweep
+(``harness.throughput.sweep_window_size``) reads ClaSS's rows.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ from repro.baselines.base import make_detector
 __all__ = ["TABLE2_SPEC", "measure_update_times", "fit_exponents", "run_table2"]
 
 REPEATS = 5
+BLOCK = 100   # updates per turn of a cell within a round
 
 # The paper's Table 2 rows (complexity class + segmentation method).
 TABLE2_SPEC = pd.DataFrame([
@@ -61,8 +69,9 @@ def measure_update_times(window_sizes=(500, 1000, 2000, 4000),
                          methods: list[str] | None = None,
                          seed: int = 0) -> pd.DataFrame:
     """(method, d) grid of mean per-point update times on the
-    post-warm-up steady state: the fastest of ``REPEATS`` round-robin
-    rounds, each timing a copy of every cell's warmed-up detector."""
+    post-warm-up steady state: the fastest of ``REPEATS`` rounds, each
+    timing a copy of every cell's warmed-up detector, one method's
+    cells taking turns every ``BLOCK`` updates."""
     methods = methods or list(_SWEEP_PARAM)
     cells = [(m, int(d)) for m in methods for d in window_sizes]
     warm = []
@@ -73,14 +82,18 @@ def measure_update_times(window_sizes=(500, 1000, 2000, 4000),
         det = make_detector(m, **_SWEEP_PARAM[m](d))
         det.feed(series[:d])
         warm.append((det, series[d:]))
-    best = np.full(len(cells), np.inf)
-    for _ in range(REPEATS):
-        for i, (det, rest) in enumerate(warm):
-            run = copy.deepcopy(det)
-            t0 = time.perf_counter()
-            run.feed(rest)
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return pd.DataFrame([(*c, sec / n_points) for c, sec in zip(cells, best)],
+    nd = len(window_sizes)
+    sec = np.zeros((REPEATS, len(cells)))
+    for r in range(REPEATS):
+        for g in range(0, len(cells), nd):     # one method's cells
+            runs = [copy.deepcopy(det) for det, _ in warm[g:g + nd]]
+            for lo in range(0, n_points, BLOCK):
+                for i, run in enumerate(runs, g):
+                    t0 = time.perf_counter()
+                    run.feed(warm[i][1][lo:lo + BLOCK])
+                    sec[r, i] += time.perf_counter() - t0
+    best = sec.min(axis=0)
+    return pd.DataFrame([(*c, t / n_points) for c, t in zip(cells, best)],
                         columns=["method", "d", "sec_per_update"])
 
 
@@ -97,8 +110,7 @@ def fit_exponents(times: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def run_table2(**kw) -> pd.DataFrame:
-    """Table 2 spec joined with the measured growth exponents."""
-    times = measure_update_times(**kw)
-    fits = fit_exponents(times)
-    return TABLE2_SPEC.merge(fits, on="method", how="left")
+def run_table2(times: pd.DataFrame) -> pd.DataFrame:
+    """Table 2 spec joined with the growth exponents fitted to a
+    ``measure_update_times`` frame."""
+    return TABLE2_SPEC.merge(fit_exponents(times), on="method", how="left")

@@ -42,7 +42,7 @@ def test_make_detector_unknown_raises():
 def test_contract_positions_valid(name):
     det = make_detector(name, **PARAMS[name])
     series = _shift_series()
-    cps = det.run(series)
+    cps = det.feed(series)
     assert cps == sorted(cps)
     assert len(set(cps)) == len(cps)
     assert all(0 <= c <= len(series) for c in cps)
@@ -65,21 +65,21 @@ def test_update_returns_reported_cp(name):
 @pytest.mark.parametrize("name", ALL)
 def test_deterministic(name):
     series = _shift_series(seed=2)
-    a = make_detector(name, **PARAMS[name]).run(series)
-    b = make_detector(name, **PARAMS[name]).run(series)
+    a = make_detector(name, **PARAMS[name]).feed(series)
+    b = make_detector(name, **PARAMS[name]).feed(series)
     assert a == b
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_constant_stream_silent(name):
     det = make_detector(name, **PARAMS[name])
-    assert det.run(np.ones(1500)) == []
+    assert det.feed(np.ones(1500)) == []
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_chunked_feed_is_lossless(name):
     """``feed`` over uneven chunks returns every CP exactly once, in the
-    same order as ``change_points`` and a one-shot ``run``."""
+    same order as ``change_points`` and a one-shot ``feed``."""
     series = _shift_series(seed=4)
     det = make_detector(name, **PARAMS[name])
     bounds = [0, 1, 7, 450, 601, 1599, 1600, 2333, len(series)]
@@ -87,7 +87,7 @@ def test_chunked_feed_is_lossless(name):
     got = [cp for chunk in fed for cp in chunk]
     assert got  # every detector finds the shift at 1600
     assert got == det.change_points
-    assert got == make_detector(name, **PARAMS[name]).run(series)
+    assert got == make_detector(name, **PARAMS[name]).feed(series)
     assert det.pos == len(series)
 
 
@@ -138,4 +138,4 @@ def test_competitor_golden_change_points(name):
 
     series, _ = _test_stream(12000, 0)
     series = series + 2.0 * (np.arange(len(series)) // 2000 % 2)
-    assert make_detector(name, **PARAMS[name]).run(series) == GOLDEN[name]
+    assert make_detector(name, **PARAMS[name]).feed(series) == GOLDEN[name]

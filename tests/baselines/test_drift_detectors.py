@@ -44,34 +44,34 @@ def test_error_stream_reset():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ddm_detects_mean_shift(seed):
     det = DDM(drift_level=3.0)
-    cps = det.run(_mean_shift(seed=seed))
+    cps = det.feed(_mean_shift(seed=seed))
     assert any(1500 <= c <= 1700 for c in cps)
 
 
 def test_ddm_fewer_drifts_with_higher_level():
     series = _mean_shift(mag=2.0, seed=3)
-    low = DDM(drift_level=3.0).run(series)
-    high = DDM(drift_level=20.0).run(series)
+    low = DDM(drift_level=3.0).feed(series)
+    high = DDM(drift_level=20.0).feed(series)
     assert len(high) <= len(low)
 
 
 def test_ddm_silent_on_stationary():
     rng = np.random.default_rng(4)
-    assert DDM(drift_level=10.0).run(rng.standard_normal(3000)) == []
+    assert DDM(drift_level=10.0).feed(rng.standard_normal(3000)) == []
 
 
 # ---------------- HDDM -----------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hddm_detects_mean_shift(seed):
     det = HDDM(drift_confidence=1e-6)
-    cps = det.run(_mean_shift(seed=seed))
+    cps = det.feed(_mean_shift(seed=seed))
     assert any(1500 <= c <= 1800 for c in cps)
 
 
 def test_hddm_stricter_confidence_fewer_drifts():
     series = _mean_shift(mag=1.5, seed=5)
-    loose = HDDM(drift_confidence=1e-3).run(series)
-    strict = HDDM(drift_confidence=1e-30).run(series)
+    loose = HDDM(drift_confidence=1e-3).feed(series)
+    strict = HDDM(drift_confidence=1e-30).feed(series)
     assert len(strict) <= len(loose)
 
 
@@ -83,13 +83,13 @@ def test_hddm_eps_decreases_with_n():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_adwin_detects_mean_shift(seed):
     det = ADWIN(delta=0.01)
-    cps = det.run(_mean_shift(seed=seed))
+    cps = det.feed(_mean_shift(seed=seed))
     assert any(1450 <= c <= 1800 for c in cps)
 
 
 def test_adwin_window_shrinks_after_change():
     det = ADWIN(delta=0.05)
-    det.run(_mean_shift(mag=5.0, seed=6))
+    det.feed(_mean_shift(mag=5.0, seed=6))
     # After cutting, the kept window must be much smaller than the
     # stream: the pre-change half was dropped.
     assert det.n < 2200
@@ -121,6 +121,6 @@ def test_adwin_bucket_totals_track_sum():
 
 def test_adwin_sensitivity_in_delta():
     series = _mean_shift(mag=1.0, seed=8)
-    tight = ADWIN(delta=0.002).run(series)
-    loose = ADWIN(delta=0.3).run(series)
+    tight = ADWIN(delta=0.002).feed(series)
+    loose = ADWIN(delta=0.3).feed(series)
     assert len(tight) <= len(loose) + 1

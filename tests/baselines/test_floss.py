@@ -39,7 +39,7 @@ def test_floss_detects_shape_change(seed):
     a = np.sin(2 * np.pi * np.arange(n) / 20) + 0.1 * rng.standard_normal(n)
     b = np.sign(np.sin(2 * np.pi * np.arange(n) / 30)) + 0.1 * rng.standard_normal(n)
     det = FLOSS(d=1000, w=20, threshold=0.45)
-    cps = det.run(np.concatenate([a, b]))
+    cps = det.feed(np.concatenate([a, b]))
     assert any(abs(c - n) <= 300 for c in cps)
 
 
@@ -51,13 +51,13 @@ def test_floss_mostly_silent_on_homogeneous_periodic():
     n = 4000
     series = np.sin(2 * np.pi * np.arange(n) / 25) + 0.05 * rng.standard_normal(n)
     det = FLOSS(d=1000, w=25, threshold=0.3)
-    assert len(det.run(series)) <= 1
+    assert len(det.feed(series)) <= 1
 
 
 def test_floss_arcs_point_right():
     rng = np.random.default_rng(3)
     det = FLOSS(d=600, w=15, threshold=0.0)  # threshold 0: never fires
-    det.run(np.sin(2 * np.pi * np.arange(800) / 15)
+    det.feed(np.sin(2 * np.pi * np.arange(800) / 15)
             + 0.05 * rng.standard_normal(800))
     rnn = det._knn.N[:, 0]
     rel = rnn - det._knn.start_abs
@@ -73,7 +73,7 @@ def test_floss_exclusion_zone_suppresses_repeats():
     a = np.sin(2 * np.pi * np.arange(n) / 20) + 0.1 * rng.standard_normal(n)
     b = 2 * ((np.arange(n) / 33) % 1) - 1 + 0.1 * rng.standard_normal(n)
     det = FLOSS(d=1000, w=20, threshold=0.45)
-    cps = det.run(np.concatenate([a, b]))
+    cps = det.feed(np.concatenate([a, b]))
     diffs = np.diff(cps)
     assert np.all(diffs > det.excl)
 
@@ -86,4 +86,4 @@ def test_floss_golden_change_points(d, expected):
     """Pins FLOSS's output, so a change to the shared k-NN that moves
     an arc shows up here."""
     series, _ = _test_stream(8000)
-    assert FLOSS(d=d, w=25).run(series) == expected
+    assert FLOSS(d=d, w=25).feed(series) == expected

@@ -44,7 +44,7 @@ def test_bocd_map_run_grows_on_stationary():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bocd_detects_mean_shift(seed):
     det = BOCD(drop_threshold=100, hazard=1 / 500)
-    cps = det.run(_mean_shift(seed=seed))
+    cps = det.feed(_mean_shift(seed=seed))
     assert any(1100 <= c <= 1350 for c in cps)
 
 
@@ -90,14 +90,14 @@ def test_sdar_score_spikes_on_shift(monkeypatch):
 def test_changefinder_detects_mean_shift(seed, monkeypatch):
     monkeypatch.setattr(changefinder, "ORDER", 2)
     det = ChangeFinder(r=0.02, threshold=1.5)
-    cps = det.run(_mean_shift(seed=seed))
+    cps = det.feed(_mean_shift(seed=seed))
     assert any(1150 <= c <= 1400 for c in cps)
 
 
 def test_changefinder_threshold_monotone():
     series = _mean_shift(mag=2.0, seed=6)
-    low = ChangeFinder(r=0.02, threshold=1.0).run(series)
-    high = ChangeFinder(r=0.02, threshold=100.0).run(series)
+    low = ChangeFinder(r=0.02, threshold=1.0).feed(series)
+    high = ChangeFinder(r=0.02, threshold=100.0).feed(series)
     assert len(high) <= len(low)
 
 
@@ -122,7 +122,7 @@ def test_window_detects_dynamics_change(seed):
     a = np.sin(2 * np.pi * np.arange(n) / 20) + 0.1 * rng.standard_normal(n)
     b = rng.standard_normal(n) * 0.5 + 3.0
     det = WindowSegmenter(w=20, threshold=0.2)
-    cps = det.run(np.concatenate([a, b]))
+    cps = det.feed(np.concatenate([a, b]))
     assert any(abs(c - n) <= 200 for c in cps)
 
 
@@ -141,13 +141,13 @@ def test_newma_detects_shape_change(seed):
     a = np.sin(2 * np.pi * np.arange(n) / 20) + 0.1 * rng.standard_normal(n)
     b = np.sign(np.sin(2 * np.pi * np.arange(n) / 33)) + 0.1 * rng.standard_normal(n)
     det = NEWMA(w=20, quantile=1.0)
-    cps = det.run(np.concatenate([a, b]))
+    cps = det.feed(np.concatenate([a, b]))
     assert any(abs(c - n) <= 300 for c in cps)
 
 
 def test_newma_statistic_finite_and_reset():
     det = NEWMA(w=15)
     rng = np.random.default_rng(9)
-    det.run(rng.standard_normal(500))
+    det.feed(rng.standard_normal(500))
     assert np.isfinite(det.last_score)
     assert len(det.stats) <= det.stats.maxlen

@@ -46,7 +46,7 @@ def test_make_detector_builds_class():
     det = make_detector("class", d=1000)
     assert type(det) is ClaSS
     assert det.config == ClaSSConfig(d=1000)
-    assert det.run(warmup_cp_series()) == WARMUP_CPS
+    assert det.feed(warmup_cp_series()) == WARMUP_CPS
 
 
 @pytest.mark.parametrize("pair,tol", [
@@ -60,7 +60,7 @@ def test_detects_planted_shape_change(pair, tol):
     a = _wave(k1, 2500, p1, rng)
     b = _wave(k2, 2500, p2, rng)
     cls = ClaSS(ClaSSConfig(d=1000))
-    cps = cls.run(np.concatenate([a, b]))
+    cps = cls.feed(np.concatenate([a, b]))
     assert len(cps) >= 1
     assert min(abs(c - 2500) for c in cps) <= tol
     # no spurious CP far from the truth
@@ -72,7 +72,7 @@ def test_multiple_change_points():
     segs = [_wave("sine", 2000, 20, rng), _wave("square", 2000, 30, rng),
             _wave("saw", 2000, 55, rng)]
     cls = ClaSS(ClaSSConfig(d=1000))
-    cps = cls.run(np.concatenate(segs))
+    cps = cls.feed(np.concatenate(segs))
     assert len(cps) >= 2
     for truth in (2000, 4000):
         assert min(abs(c - truth) for c in cps) <= 200
@@ -81,26 +81,26 @@ def test_multiple_change_points():
 def test_silent_on_stationary_noise():
     rng = np.random.default_rng(3)
     cls = ClaSS(ClaSSConfig(d=1000))
-    assert cls.run(rng.standard_normal(5000)) == []
+    assert cls.feed(rng.standard_normal(5000)) == []
 
 
 def test_silent_on_homogeneous_periodic():
     rng = np.random.default_rng(4)
     cls = ClaSS(ClaSSConfig(d=1000))
-    assert cls.run(_wave("sine", 6000, 24, rng)) == []
+    assert cls.feed(_wave("sine", 6000, 24, rng)) == []
 
 
 def test_short_stream_below_d_yields_nothing():
     rng = np.random.default_rng(5)
     cls = ClaSS(ClaSSConfig(d=2000))
-    assert cls.run(rng.standard_normal(1500)) == []
+    assert cls.feed(rng.standard_normal(1500)) == []
     assert cls.width is None  # warm-up never completed
 
 
 def test_width_learned_once_after_warmup():
     rng = np.random.default_rng(6)
     cls = ClaSS(ClaSSConfig(d=500))
-    cls.run(_wave("sine", 600, 20, rng))
+    cls.feed(_wave("sine", 600, 20, rng))
     assert cls.width is not None
     assert 3 <= cls.width <= 125  # clamped to d/4
 
@@ -108,7 +108,7 @@ def test_width_learned_once_after_warmup():
 def test_explicit_width_is_respected():
     cls = ClaSS(ClaSSConfig(d=500, w=17))
     rng = np.random.default_rng(8)
-    cls.run(rng.standard_normal(600))
+    cls.feed(rng.standard_normal(600))
     assert cls.width == 17
 
 
@@ -120,7 +120,7 @@ def test_pickle_roundtrip_matches_uninterrupted_run():
     series = np.concatenate([
         _wave("sine", 2000, 20, rng), _wave("square", 2000, 35, rng)])
     ref = ClaSS(ClaSSConfig(d=800))
-    ref_cps = ref.run(series)
+    ref_cps = ref.feed(series)
 
     cls = ClaSS(ClaSSConfig(d=800))
     for i, x in enumerate(series):
@@ -136,7 +136,7 @@ def test_change_points_strictly_increasing_and_in_range():
             _wave("square", 1500, 22, rng)]
     series = np.concatenate(segs)
     cls = ClaSS(ClaSSConfig(d=900))
-    cps = cls.run(series)
+    cps = cls.feed(series)
     assert cps == sorted(cps)
     assert all(0 < c < len(series) for c in cps)
 

@@ -10,8 +10,7 @@ from repro.harness.evaluate import (METHODS, annotated_widths,
                                     evaluate_method, run_table3,
                                     summarize_with_oracle, tune_method)
 from repro.harness.table1 import run_table1
-from repro.harness.throughput import (_test_stream, standalone_throughput,
-                                      sweep_window_size)
+from repro.harness.throughput import _test_stream, sweep_window_size
 
 TINY = (CollectionSpec("tiny-bench", "benchmark", 4, (1600, 2600), (2, 3),
                        (0.05, 0.1)),
@@ -58,6 +57,9 @@ def test_complexity_measurement_and_fit():
     fits = fit_exponents(times)
     assert set(fits["method"]) == {"class", "ddm"}
     assert fits["fitted_exponent"].notna().all()
+    table2 = run_table2(times)
+    assert len(table2) == 9
+    assert table2["fitted_exponent"].notna().sum() == 2
 
 
 # ---------------- Table 3 --------------------------------------------
@@ -150,18 +152,12 @@ def test_test_stream_bytes_unchanged(n):
         assert cps == old_cps
 
 
-def test_standalone_throughput_frame():
-    out = standalone_throughput({"ddm": {}, "hddm": {}}, n=2000)
-    assert set(out["method"]) == {"ddm", "hddm"}
-    assert (out["points_per_sec"] > 0).all()
-
-
 def test_sweep_window_size_direction():
-    # Two sequential wall-clock throughputs drift with machine load, so
-    # the sweep runs three times, alternating which d goes first, and the
-    # medians are compared.
-    runs = pd.concat([sweep_window_size(ds=ds, n=5000) for ds in
-                      [(400, 1200), (1200, 400), (400, 1200)]])
+    # Table 2's timer: each d's steady state after its warm-up, the two
+    # d taking turns every BLOCK updates, so both see the same load.
+    times = measure_update_times(window_sizes=(400, 1200), methods=["class"])
+    out = sweep_window_size(times, ds=(400, 1200), n=5000)
     # larger window must cost throughput
-    tput = runs.groupby("d")["points_per_sec"].median()
+    tput = out.set_index("d")["points_per_sec"]
     assert tput[1200] < tput[400]
+    assert out["covering_pct"].between(0, 100).all()

@@ -27,7 +27,7 @@ def test_parallel_equals_sequential(spark, tiny_corpus, method, params):
     res = segment_corpus_spark(df, method, params)
     for rec in tiny_corpus:
         det = make_detector(method, **params)
-        det.run(rec.values)
+        det.feed(rec.values)
         expected = det.change_points
         got = sorted(int(c) for c in
                      res[(res.series_id == rec.series_id) & (res.cp >= 0)]["cp"])
@@ -58,7 +58,7 @@ def test_per_series_params_override(spark, tiny_corpus):
     res = segment_corpus_spark(df, "floss", {"d": 800}, widths)
     for rec in tiny_corpus:
         det = make_detector("floss", d=800, w=int(rec.period))
-        expected = det.run(rec.values)
+        expected = det.feed(rec.values)
         got = sorted(int(c) for c in
                      res[(res.series_id == rec.series_id) & (res.cp >= 0)]["cp"])
         assert got == expected

@@ -21,7 +21,7 @@ def test_operator_equals_standalone_single_series(spark, tmp_path):
     write_stream_chunks("s1", s, str(tmp_path / "in"), n_chunks=6)
     out = run_file_stream(spark, str(tmp_path / "in"),
                           str(tmp_path / "ckpt"), d=800)
-    offline = ClaSS(ClaSSConfig(d=800)).run(s)
+    offline = ClaSS(ClaSSConfig(d=800)).feed(s)
     assert offline  # the fixture signal must contain a detectable CP
     assert out["cp"].tolist() == offline
 
@@ -43,7 +43,7 @@ def test_operator_multiple_series_keyed_state(spark, tmp_path):
     out = run_file_stream(spark, str(tmp_path / "in"),
                           str(tmp_path / "ckpt"), d=800)
     for sid, series in (("a", sa), ("b", sb)):
-        offline = ClaSS(ClaSSConfig(d=800)).run(series)
+        offline = ClaSS(ClaSSConfig(d=800)).feed(series)
         got = out[out.series_id == sid]["cp"].tolist()
         assert got == offline, sid
 
