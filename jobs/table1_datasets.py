@@ -5,10 +5,8 @@ Usage: python jobs/table1_datasets.py  [--seed 0]
 from __future__ import annotations
 
 import argparse
-import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_session  # noqa: E402
+from _session import get_session
 
 
 def main() -> None:

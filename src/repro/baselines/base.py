@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-__all__ = ["StreamingDetector", "ErrorStream", "DETECTOR_REGISTRY", "make_detector"]
+__all__ = ["StreamingDetector", "ErrorStream"]
 
 Z_THRESH = 2.0  # ErrorStream: an error is a deviation of > Z_THRESH stds
 MIN_N = 10      # ErrorStream: values seen before any error is flagged
@@ -103,22 +103,3 @@ class ErrorStream:
         self.mean += delta / self.n
         self.m2 += delta * (x - self.mean)
         return err
-
-
-# Populated lazily to avoid import cycles; see __init__.py.
-DETECTOR_REGISTRY: dict[str, type] = {}
-
-
-def make_detector(name: str, **params) -> StreamingDetector:
-    """Instantiate a registered detector by name with keyword params.
-
-    The registry indirection lets Spark workers rebuild detectors from
-    plain ``(name, params)`` pairs shipped through ``applyInPandas``.
-    """
-    import repro.baselines  # noqa: F401  (fills the registry)
-    try:
-        cls = DETECTOR_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown detector {name!r}; known: {sorted(DETECTOR_REGISTRY)}")
-    return cls(**params)

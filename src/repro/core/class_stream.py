@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.baselines.base import DETECTOR_REGISTRY, StreamingDetector
+from repro.baselines.base import StreamingDetector
 from repro.core.scoring import (cross_val_scores, pred_thresholds,
                                 split_label_counts)
 from repro.core.significance import resampled_rank_sum_test
@@ -59,10 +59,11 @@ class ClaSSConfig:
 
 
 class ClaSS(StreamingDetector):
-    """Streaming segmentation state machine, registered as ``"class"``.
+    """Streaming segmentation state machine, the ``"class"`` entry of
+    :data:`repro.methods.METHODS`.
 
     Build it as ``ClaSS(ClaSSConfig(d=...))`` or, as
-    :func:`~repro.baselines.base.make_detector` does, from
+    :func:`~repro.methods.make_detector` does, from
     :class:`ClaSSConfig` fields: ``ClaSS(d=...)``.  Raises ``ValueError``
     for ``d < 6`` or a given ``w < 3``, the smallest window and width
     the k-NN accepts.
@@ -148,6 +149,3 @@ class ClaSS(StreamingDetector):
         # The CP as a stream position; the next region starts there.
         self._region_start_abs = knn.start_abs + rs + s_best + w - 1
         return self._region_start_abs
-
-
-DETECTOR_REGISTRY["class"] = ClaSS

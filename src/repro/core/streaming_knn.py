@@ -61,7 +61,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["StreamingKNN", "batch_knn", "pairwise_pearson"]
+__all__ = ["StreamingKNN", "batch_knn", "pairwise_pearson",
+           "rolling_mean_std"]
 
 # A subsequence pair closer than this many offsets is a trivial match and
 # never a neighbour.  The paper excludes "the last 3/2 * w observations"
@@ -71,7 +72,7 @@ def _exclusion(w: int) -> int:
     return max(1, w // 2)
 
 
-# Elements per block when a loaded state recomputes its statistics.
+# Elements per block of rows in ``rolling_mean_std``.
 _STATS_BLOCK = 1 << 16
 
 
@@ -83,6 +84,21 @@ def _mean_std(subs: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     dev = subs - mu[:, None]
     dev *= dev
     return mu, np.sqrt(np.add.reduce(dev, axis=1) / w)
+
+
+def rolling_mean_std(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of every width-``w`` subsequence of
+    ``x``, bit for bit ``np.mean``/``np.std`` of each.  Computed in
+    blocks of rows, so the ``(rows, w)`` deviation temporary stays near
+    ``_STATS_BLOCK`` elements instead of ``len(x) * w``."""
+    m = max(0, len(x) - w + 1)
+    mu, sig = np.empty(m), np.empty(m)
+    step = max(1, _STATS_BLOCK // w)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        mu[lo:hi], sig[lo:hi] = _mean_std(
+            sliding_window_view(x[lo:hi + w - 1], w), w)
+    return mu, sig
 
 
 def _safe_pearson(q: np.ndarray, w: int, mu: np.ndarray, sig: np.ndarray,
@@ -205,13 +221,7 @@ class StreamingKNN:
         self._buf[:len(win)] = win
         self._qbuf[len(self._qbuf) - m:] = state["q"]
         self._C[:m], self._N[:m] = state["C"], state["N"]
-        # In blocks of rows, so the (rows, w) temporaries stay small.
-        w = self.w
-        step = max(1, _STATS_BLOCK // w)
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            subs = sliding_window_view(win[lo:hi + w - 1], w)
-            self._mu[lo:hi], self._sig[lo:hi] = _mean_std(subs, w)
+        self._mu[:m], self._sig[:m] = rolling_mean_std(win, self.w)
 
     def _compact(self) -> None:
         """Copy the live points and rows back to slot 0."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.streaming_knn import rolling_mean_std
+
 __all__ = ["suss"]
 
 # A width is accepted once its normalised score drops to this fraction.
@@ -22,8 +24,9 @@ def _suss_score(ts: np.ndarray, w: int, global_stats) -> float:
     stats, normalised by sqrt(w) (larger windows concentrate)."""
     roll = np.lib.stride_tricks.sliding_window_view(ts, w)
     g_mean, g_std, g_rng = global_stats
-    d_mean = roll.mean(axis=1) - g_mean
-    d_std = roll.std(axis=1) - g_std
+    mu, sig = rolling_mean_std(ts, w)
+    d_mean = mu - g_mean
+    d_std = sig - g_std
     d_rng = (roll.max(axis=1) - roll.min(axis=1)) - g_rng
     dist = np.sqrt(d_mean**2 + d_std**2 + d_rng**2) / np.sqrt(w)
     return float(dist.mean())

@@ -3,12 +3,12 @@
 Table 2 of the paper is a specification: per method, the per-update
 complexity class and the segmentation principle.  We reproduce it by
 *measurement*: every detector runs over streams with growing
-window-size parameters, the mean per-point update time is recorded, and
-the growth exponent of update time vs window size is fitted by log-log
-regression.  Methods whose update is independent of the window
-(O(1)/O(log c) or fixed small c) should fit an exponent near 0; ClaSS
-and FLOSS (O(d)) near 1; this validates the complexity column without
-the authors' hardware.
+window-size parameters (``repro.methods.sweep_params``), the mean
+per-point update time is recorded, and the growth exponent of update
+time vs window size is fitted by log-log regression.  Methods whose
+update is independent of the window (O(1)/O(log c) or fixed small c)
+should fit an exponent near 0; ClaSS and FLOSS (O(d)) near 1; this
+validates the complexity column without the authors' hardware.
 
 The calling process times every cell, keeping each cell's fastest of
 ``REPEATS`` rounds: machine load drifts over seconds and moves a single
@@ -29,39 +29,12 @@ import time
 import numpy as np
 import pandas as pd
 
-from repro.baselines.base import make_detector
+from repro.methods import METHODS, make_detector, sweep_params
 
-__all__ = ["TABLE2_SPEC", "measure_update_times", "fit_exponents", "run_table2"]
+__all__ = ["measure_update_times", "fit_exponents", "run_table2"]
 
 REPEATS = 5
 BLOCK = 100   # updates per turn of a cell within a round
-
-# The paper's Table 2 rows (complexity class + segmentation method).
-TABLE2_SPEC = pd.DataFrame([
-    ("bocd", "O(n)", "Bayesian probability"),
-    ("floss", "O(d log d)", "Matrix profile"),
-    ("class", "O(d)", "Self-supervision"),
-    ("changefinder", "O(c^2)", "Moving averages"),
-    ("window", "O(c)", "Autoregressive cost"),
-    ("newma", "O(c)", "Moving averages"),
-    ("adwin", "O(log c)", "Adaptive Statistics"),
-    ("ddm", "O(1)", "Model error"),
-    ("hddm", "O(1)", "Hoeffding's inequality"),
-], columns=["method", "update_complexity", "segmentation_method"])
-
-# How the swept "window size" maps to each detector's parameter; methods
-# with no window knob (constant update) repeat their fixed config.
-_SWEEP_PARAM = {
-    "class": lambda d: {"d": d, "w": max(10, d // 50)},
-    "floss": lambda d: {"d": d, "w": max(10, d // 50)},
-    "window": lambda d: {"w": max(10, d // 50), "stride": 1},
-    "newma": lambda d: {"w": max(10, d // 50)},
-    "changefinder": lambda d: {},
-    "bocd": lambda d: {},
-    "ddm": lambda d: {},
-    "hddm": lambda d: {},
-    "adwin": lambda d: {},
-}
 
 
 def measure_update_times(window_sizes=(500, 1000, 2000, 4000),
@@ -72,14 +45,14 @@ def measure_update_times(window_sizes=(500, 1000, 2000, 4000),
     post-warm-up steady state: the fastest of ``REPEATS`` rounds, each
     timing a copy of every cell's warmed-up detector, one method's
     cells taking turns every ``BLOCK`` updates."""
-    methods = methods or list(_SWEEP_PARAM)
+    methods = methods or list(METHODS)
     cells = [(m, int(d)) for m in methods for d in window_sizes]
     warm = []
     for m, d in cells:
         rng = np.random.default_rng(seed)
         t = np.arange(n_points + d)
         series = np.sin(2 * np.pi * t / 29) + 0.2 * rng.standard_normal(len(t))
-        det = make_detector(m, **_SWEEP_PARAM[m](d))
+        det = make_detector(m, **sweep_params(m, d))
         det.feed(series[:d])
         warm.append((det, series[d:]))
     nd = len(window_sizes)
@@ -111,6 +84,11 @@ def fit_exponents(times: pd.DataFrame) -> pd.DataFrame:
 
 
 def run_table2(times: pd.DataFrame) -> pd.DataFrame:
-    """Table 2 spec joined with the growth exponents fitted to a
+    """Table 2's rows (complexity class and segmentation method, in the
+    paper's order) joined with the growth exponents fitted to a
     ``measure_update_times`` frame."""
-    return TABLE2_SPEC.merge(fit_exponents(times), on="method", how="left")
+    spec = pd.DataFrame(
+        [(name, m.update_complexity, m.segmentation_method)
+         for name, m in METHODS.items()],
+        columns=["method", "update_complexity", "segmentation_method"])
+    return spec.merge(fit_exponents(times), on="method", how="left")

@@ -15,83 +15,33 @@ Protocol (paper Section 4.1):
 4. mean ranks and wins reproduce the Figure 5 ordering (who leads, and
    whether the lead exceeds the Nemenyi critical difference).
 
-FLOSS, Window and NEWMA receive the annotated subsequence width per
-series, as in the paper ("subsequence widths were taken from the
-annotations"); ClaSS learns its own width via SuSS.
+Each method's fixed parameters, tuning grid and annotated-width flag
+come from :data:`repro.methods.METHODS`.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.datasets.archives import TSRecord, corpus_to_spark, make_corpus
+from repro.methods import METHODS
 from repro.metrics.covering import covering
 from repro.metrics.ranks import mean_ranks, nemenyi_cd, wins_and_ties
 from repro.streaming.batch_apply import segment_corpus_spark
 
-__all__ = ["METHODS", "annotated_widths", "evaluate_method",
+__all__ = ["annotated_widths", "evaluate_method",
            "tune_method", "run_table3", "summarize_with_oracle"]
 
-# Default window size for the corpus (DESIGN.md S5: the paper's d=10k
-# scaled by the pattern-size ratio, still covering 25..60 patterns).
-D_DEFAULT = 1000
 # Share of the benchmark series in the tuning dev split (paper: 20%).
 DEV_FRAC = 0.2
 
-# method -> (fixed params, tuning grid over one knob, uses annotated w?)
-METHODS: dict[str, dict] = {
-    "class": {
-        "params": {"d": D_DEFAULT},
-        "grid": {},                      # parameter-free by design
-        "width": False,
-    },
-    "floss": {
-        "params": {"d": D_DEFAULT},
-        "grid": {"threshold": [0.25, 0.35, 0.45, 0.55, 0.65]},
-        "width": True,
-    },
-    "window": {
-        "params": {},
-        "grid": {"threshold": [0.1, 0.2, 0.3, 0.5]},
-        "width": True,
-    },
-    "changefinder": {
-        "params": {"r": 0.01},
-        "grid": {"threshold": [0.5, 1.0, 2.0, 5.0, 10.0]},
-        "width": False,
-    },
-    "newma": {
-        "params": {},
-        "grid": {"quantile": [0.98, 0.99, 0.995, 1.0]},
-        "width": True,
-    },
-    "bocd": {
-        "params": {"hazard": 1.0 / 500.0},
-        "grid": {"drop_threshold": [50, 150, 300]},
-        "width": False,
-    },
-    "ddm": {
-        "params": {},
-        "grid": {"drift_level": [3.0, 5.0, 10.0, 20.0]},
-        "width": False,
-    },
-    "hddm": {
-        "params": {},
-        "grid": {"drift_confidence": [1e-3, 1e-6, 1e-10, 1e-30, 1e-60]},
-        "width": False,
-    },
-    "adwin": {
-        "params": {},
-        "grid": {"delta": [0.002, 0.01, 0.05, 0.3]},
-        "width": False,
-    },
-}
 
-
-def annotated_widths(records: list[TSRecord]) -> dict[str, dict]:
-    """series_id -> {"w": annotated pattern period}."""
+def annotated_widths(records: list[TSRecord], method: str) -> dict[str, dict]:
+    """series_id -> {"w": annotated pattern period} for a method that
+    takes the annotated width, else no per-series params."""
+    if not METHODS[method].width:
+        return {}
     return {r.series_id: {"w": int(r.period)} for r in records}
 
 
@@ -118,12 +68,10 @@ def _scores_from_results(res: pd.DataFrame,
 def evaluate_method(spark: SparkSession, records: list[TSRecord],
                     method: str, params: dict | None = None) -> pd.DataFrame:
     """Per-series Covering (+ timing) of one method over ``records``."""
-    spec = METHODS[method]
-    p = dict(spec["params"])
-    p.update(params or {})
-    widths = annotated_widths(records) if spec["width"] else None
+    p = {**METHODS[method].params, **(params or {})}
     df = corpus_to_spark(spark, records)
-    res = segment_corpus_spark(df, method, p, widths)
+    res = segment_corpus_spark(df, method, p,
+                               annotated_widths(records, method))
     out = _scores_from_results(res, records)
     out.insert(0, "method", method)
     return out
@@ -133,18 +81,16 @@ def tune_method(spark: SparkSession, dev: list[TSRecord],
                 method: str) -> dict:
     """Best grid point by mean Covering on the dev split."""
     spec = METHODS[method]
-    if not spec["grid"]:
-        return dict(spec["params"])
-    (knob, values), = spec["grid"].items()
+    if not spec.grid:
+        return dict(spec.params)
+    (knob, values), = spec.grid.items()
     best_v, best_score = values[0], -1.0
     for v in values:
         sc = evaluate_method(spark, dev, method, {knob: v})
         mean = float(sc["covering"].mean())
         if mean > best_score:
             best_v, best_score = v, mean
-    out = dict(spec["params"])
-    out[knob] = best_v
-    return out
+    return {**spec.params, knob: best_v}
 
 
 def summarize_with_oracle(spark: SparkSession,
@@ -192,7 +138,7 @@ def run_table3(spark: SparkSession, seed: int = 0, tune: bool = True,
     frames = []
     for method in methods:
         tuned[method] = (tune_method(spark, dev, method)
-                         if tune else dict(METHODS[method]["params"]))
+                         if tune else dict(METHODS[method].params))
         frames.append(evaluate_method(spark, records, method, tuned[method]))
     scores = pd.concat(frames, ignore_index=True)
 

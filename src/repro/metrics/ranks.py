@@ -38,10 +38,9 @@ def wins_and_ties(scores: pd.DataFrame) -> pd.Series:
     return scores.eq(best, axis=0).sum(axis=0).sort_values(ascending=False)
 
 
-def nemenyi_cd(n_methods: int, n_datasets: int, alpha: float = 0.05) -> float:
-    """Critical difference of mean ranks (Nemenyi, two-tailed)."""
-    if alpha != 0.05:
-        raise ValueError("only alpha=0.05 tabulated")
+def nemenyi_cd(n_methods: int, n_datasets: int) -> float:
+    """Critical difference of mean ranks (Nemenyi, two-tailed, alpha =
+    0.05)."""
     try:
         q = _Q_05[n_methods]
     except KeyError:

@@ -9,7 +9,7 @@ wall-clock timing — giving the per-series runtime and
 throughput measurements of paper Section 4.4 for free.
 
 Detectors are rebuilt on the worker from a ``(name, params)`` pair via
-:func:`repro.baselines.base.make_detector`; per-series parameter
+:func:`repro.methods.make_detector`; per-series parameter
 overrides (e.g. the annotated subsequence width the paper grants FLOSS,
 Window and NEWMA) travel in a small broadcastable dict.
 """
@@ -41,7 +41,7 @@ def segment_corpus_spark(
     per_series = per_series_params or {}
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        from repro.baselines.base import make_detector
+        from repro.methods import make_detector
 
         pdf = pdf.sort_values("t")
         sid = pdf["series_id"].iloc[0]

@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines import DETECTOR_REGISTRY
-from repro.baselines.base import make_detector
+from repro.methods import METHODS, make_detector, sweep_params
 
-ALL = sorted(DETECTOR_REGISTRY)
+ALL = list(METHODS)
 
 # Cheap, corpus-scale parameters per detector for contract tests.
 PARAMS = {
@@ -29,8 +28,24 @@ def _shift_series(n=1600, seed=0):
 
 
 def test_registry_has_paper_methods():
-    assert set(ALL) == {"class", "floss", "window", "changefinder",
-                       "newma", "bocd", "ddm", "hddm", "adwin"}
+    # Table 2's row order, which run_table2 keeps.
+    assert ALL == ["bocd", "floss", "class", "changefinder", "window",
+                   "newma", "adwin", "ddm", "hddm"]
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_every_table_config_constructs(name):
+    """Every configuration the harnesses build: Table 3's fixed params
+    with each grid value (plus an annotated ``w`` where the method takes
+    one) and every Table 2 sweep cell."""
+    spec = METHODS[name]
+    width = {"w": 25} if spec.width else {}
+    configs = [{**spec.params, **width, knob: v}
+               for knob, values in spec.grid.items() for v in values]
+    configs.append({**spec.params, **width})
+    configs += [sweep_params(name, d) for d in (500, 1000, 2000, 4000)]
+    for params in configs:
+        assert type(make_detector(name, **params)) is spec.detector, params
 
 
 def test_make_detector_unknown_raises():

@@ -41,7 +41,7 @@ def test_feed_returns_cps_found_during_warmup_replay():
 
 
 def test_make_detector_builds_class():
-    from repro.baselines.base import make_detector
+    from repro.methods import make_detector
 
     det = make_detector("class", d=1000)
     assert type(det) is ClaSS

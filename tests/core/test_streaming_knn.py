@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import streaming_knn
 from repro.core.streaming_knn import (StreamingKNN, _safe_pearson, batch_knn,
-                                      pairwise_pearson)
+                                      pairwise_pearson, rolling_mean_std)
 
 
 def _signals(n, seed=0):
@@ -223,6 +223,18 @@ def test_pickle_round_trip_around_buffer_wrap(monkeypatch, block):
             assert b.update(T[i]).tobytes() == outs[i], (cut, i)
         assert _state(b) == _state(ref)
         assert (b.pos, b.start_abs) == (ref.pos, ref.start_abs)
+
+
+@pytest.mark.parametrize("w", [1, 10, 37, 500, 1000])
+def test_rolling_mean_std_matches_numpy(monkeypatch, w):
+    """Bit for bit ``np.mean``/``np.std`` of every subsequence, with
+    block boundaries falling inside the series."""
+    monkeypatch.setattr(streaming_knn, "_STATS_BLOCK", 3 * w + 1)
+    x = _signals(3000, seed=5)["walk"]
+    roll = np.lib.stride_tricks.sliding_window_view(x, w)
+    mu, sig = rolling_mean_std(x, w)
+    assert mu.tobytes() == roll.mean(axis=1).tobytes()
+    assert sig.tobytes() == roll.std(axis=1).tobytes()
 
 
 def test_safe_pearson_flat_rows():

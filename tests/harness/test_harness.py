@@ -4,13 +4,14 @@ import pandas as pd
 import pytest
 
 from repro.datasets.archives import CollectionSpec, make_corpus
-from repro.harness.complexity import (TABLE2_SPEC, fit_exponents,
-                                      measure_update_times, run_table2)
-from repro.harness.evaluate import (METHODS, annotated_widths,
-                                    evaluate_method, run_table3,
-                                    summarize_with_oracle, tune_method)
+from repro.harness.complexity import (fit_exponents, measure_update_times,
+                                      run_table2)
+from repro.harness.evaluate import (annotated_widths, evaluate_method,
+                                    run_table3, summarize_with_oracle,
+                                    tune_method)
 from repro.harness.table1 import run_table1
 from repro.harness.throughput import _test_stream, sweep_window_size
+from repro.methods import METHODS
 
 TINY = (CollectionSpec("tiny-bench", "benchmark", 4, (1600, 2600), (2, 3),
                        (0.05, 0.1)),
@@ -33,11 +34,6 @@ def test_table1_oracle_checked(spark, tiny_corpus):
 
 
 # ---------------- Table 2 --------------------------------------------
-def test_table2_spec_matches_paper_rows():
-    assert len(TABLE2_SPEC) == 9
-    assert set(TABLE2_SPEC["method"]) == set(METHODS)
-
-
 def test_complexity_measurement_and_fit():
     times = measure_update_times(
         window_sizes=(2000, 8000), n_points=400,
@@ -73,9 +69,9 @@ def test_evaluate_method_scores(spark, tiny_corpus):
 def test_tune_method_picks_grid_value(spark, tiny_corpus):
     dev = tiny_corpus[:2]
     p = tune_method(spark, dev, "ddm")
-    assert p["drift_level"] in METHODS["ddm"]["grid"]["drift_level"]
+    assert p["drift_level"] in METHODS["ddm"].grid["drift_level"]
     # a method without a grid returns its fixed params
-    assert tune_method(spark, dev, "class") == METHODS["class"]["params"]
+    assert tune_method(spark, dev, "class") == METHODS["class"].params
 
 
 def test_summarize_with_oracle(spark):
@@ -104,10 +100,11 @@ def test_run_table3_end_to_end_tiny(spark, tiny_corpus):
 
 
 def test_annotated_widths_map(tiny_corpus):
-    widths = annotated_widths(tiny_corpus)
+    widths = annotated_widths(tiny_corpus, "floss")
     assert len(widths) == len(tiny_corpus)
     for r in tiny_corpus:
         assert widths[r.series_id]["w"] == r.period
+    assert annotated_widths(tiny_corpus, "class") == {}
 
 
 # ---------------- throughput -----------------------------------------

@@ -115,5 +115,3 @@ def test_nemenyi_cd_value():
     assert np.isclose(cd, 3.102 * np.sqrt(90 / 642), rtol=1e-12)
     with pytest.raises(ValueError):
         nemenyi_cd(50, 10)
-    with pytest.raises(ValueError):
-        nemenyi_cd(9, 10, alpha=0.01)

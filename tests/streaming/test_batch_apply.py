@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines.base import make_detector
 from repro.datasets.archives import (CollectionSpec, TSRecord, corpus_to_spark,
                                      make_corpus)
+from repro.methods import make_detector
 from repro.streaming.batch_apply import segment_corpus_spark
 from tests.core.test_class_stream import WARMUP_CPS, warmup_cp_series
 
