@@ -19,6 +19,14 @@ def get_session(app: str) -> SparkSession:
     into ``PYSPARK_SUBMIT_ARGS`` (unless already set) before the first
     session starts. Broadcast joins are disabled so joins exercise the
     shuffle path at corpus scale.
+
+    A shuffle has one partition per core (``defaultParallelism``) and
+    AQE does not coalesce them, so both Spark planes run one
+    Python-worker task per core: an operator trigger starts no more
+    tasks than there are cores, and a batch-plane job's few series are
+    not folded into one task. A stateful query keeps the count it
+    started with in its checkpoint, so a restarted operator runs at
+    its first count.
     """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -27,8 +35,11 @@ def get_session(app: str) -> SparkSession:
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
-    return (SparkSession.builder.appName(app)
-            .config("spark.sql.shuffle.partitions", 64)
-            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-            .config("spark.sql.autoBroadcastJoinThreshold", -1)
-            .getOrCreate())
+    spark = (SparkSession.builder.appName(app)
+             .config("spark.sql.adaptive.coalescePartitions.enabled", "false")
+             .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+             .config("spark.sql.autoBroadcastJoinThreshold", -1)
+             .getOrCreate())
+    spark.conf.set("spark.sql.shuffle.partitions",
+                   spark.sparkContext.defaultParallelism)
+    return spark

@@ -50,7 +50,7 @@ METHODS: dict[str, Method] = {
                     width=True, sweep=("d", "w")),
     "class": Method(ClaSS, "O(d)", "Self-supervision",
                     params={"d": 1000},  # parameter-free by design
-                    sweep=("d", "w")),
+                    sweep=("d",)),       # SuSS learns w at every d
     "changefinder": Method(ChangeFinder, "O(c^2)", "Moving averages",
                            params={"r": 0.01},
                            grid={"threshold": [0.5, 1.0, 2.0, 5.0, 10.0]}),

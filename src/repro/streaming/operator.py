@@ -7,7 +7,8 @@ is the pickled :class:`~repro.core.class_stream.ClaSS` machine.  Each
 pandas frame of a micro-batch is sorted by timestamp and passed to
 ``ClaSS.feed``, the same one-value-at-a-time loop as the standalone run;
 every change point it returns is appended to the sink, exactly like the
-Flink operator's output stream of CPs.
+Flink operator's output stream of CPs.  The state and the sink live in
+the query's checkpoint, so the operator restarts where it stopped.
 
 In-order delivery across micro-batches is the caller's contract (as it
 is Flink's): :func:`write_stream_chunks` materialises a series as
@@ -90,21 +91,27 @@ def write_stream_chunks(series_id: str, values: np.ndarray, out_dir: str,
 
 def run_file_stream(spark: SparkSession, in_dir: str, checkpoint: str,
                     **class_config) -> pd.DataFrame:
-    """Run the ClaSS operator over the chunk files of ``in_dir`` one
-    micro-batch per file, collect all emitted CPs into memory, and
-    return them as a pandas frame."""
+    """Run the ClaSS operator over the chunk files of ``in_dir`` not yet
+    seen by ``checkpoint``, one micro-batch per file, and return every
+    CP the query has emitted, in all its runs, as a pandas frame.
+
+    The CPs go to a parquet file sink under ``<checkpoint>/cps``, which
+    commits each micro-batch exactly once through its ``_spark_metadata``
+    log, so a rerun on the same checkpoint resumes the query: it feeds
+    only the files added since and adds only their CPs.  The keys'
+    state and the shuffle partition count it is spread over are those
+    the checkpoint started with."""
     stream = (spark.readStream.schema(INPUT_SCHEMA)
               .option("maxFilesPerTrigger", 1)
               .parquet(in_dir))
     cps = class_cp_stream(stream, **class_config)
-    name = f"class_cps_{abs(hash(in_dir)) % 10**9}"
-    query = (cps.writeStream.format("memory")
-             .queryName(name)
+    sink = os.path.join(checkpoint, "cps")
+    query = (cps.writeStream.format("parquet")
+             .option("path", sink)
              .outputMode("append")
              .option("checkpointLocation", checkpoint)
              .trigger(availableNow=True)
              .start())
     query.awaitTermination()
-    out = spark.table(name).toPandas()
-    spark.catalog.dropTempView(name)
+    out = spark.read.schema(OUTPUT_SCHEMA).parquet(sink).toPandas()
     return out.sort_values(["series_id", "cp"]).reset_index(drop=True)

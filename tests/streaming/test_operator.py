@@ -1,7 +1,9 @@
 """The Structured Streaming ClaSS operator (the paper's Flink port, S2)
 must produce exactly the CPs of the standalone per-point run."""
+import json
+import os
+
 import numpy as np
-import pytest
 
 from repro.core.class_stream import ClaSS, ClaSSConfig
 from repro.streaming.operator import (run_file_stream, write_stream_chunks)
@@ -58,3 +60,41 @@ def test_operator_single_batch_equivalent(spark, tmp_path):
     b = run_file_stream(spark, str(tmp_path / "many"),
                         str(tmp_path / "ck2"), d=800)
     assert a["cp"].tolist() == b["cp"].tolist()
+
+
+def test_operator_restarts_from_checkpoint(spark, tmp_path):
+    """A rerun on the same checkpoint resumes the query: it feeds only
+    the chunk files added since, from the keys' checkpointed state, and
+    keeps the shuffle partition count the checkpoint started with."""
+    s = _series(seed=4)
+    staged, in_dir, ckpt = (str(tmp_path / d)
+                            for d in ("staged", "in", "ckpt"))
+    write_stream_chunks("r", s, staged, n_chunks=4)
+    chunks = sorted(os.listdir(staged))
+    os.makedirs(in_dir)
+
+    def arrive(names):  # a rename keeps t and the increasing mtimes
+        for name in names:
+            os.rename(os.path.join(staged, name), os.path.join(in_dir, name))
+
+    default = spark.conf.get("spark.sql.shuffle.partitions")
+    arrive(chunks[:2])
+    spark.conf.set("spark.sql.shuffle.partitions", 64)
+    try:
+        first = run_file_stream(spark, in_dir, ckpt, d=800)
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", default)
+    arrive(chunks[2:])
+    out = run_file_stream(spark, in_dir, ckpt, d=800)
+
+    offline = ClaSS(ClaSSConfig(d=800)).feed(s)
+    assert offline
+    assert first["cp"].tolist() == []  # the CP is found after the restart
+    assert out["cp"].tolist() == offline
+    # the resumed query's last micro-batch ran at the checkpoint's count
+    offsets = os.path.join(ckpt, "offsets")
+    last = max((f for f in os.listdir(offsets) if f.isdigit()), key=int)
+    with open(os.path.join(offsets, last)) as f:
+        conf = json.loads(f.read().splitlines()[1])["conf"]
+    assert last == "3"  # two chunk files per run, one micro-batch each
+    assert conf["spark.sql.shuffle.partitions"] == "64"

@@ -1,0 +1,39 @@
+"""The session's one partition rule: a shuffle has one partition per
+core and AQE does not coalesce them, so the batch plane spreads a job's
+series over the cores."""
+from repro.datasets.archives import (CollectionSpec, corpus_to_spark,
+                                     make_corpus)
+from repro.methods import make_detector
+from repro.streaming.batch_apply import segment_corpus_spark
+
+
+def test_shuffle_partitions_follow_the_cores(spark):
+    assert (int(spark.conf.get("spark.sql.shuffle.partitions"))
+            == spark.sparkContext.defaultParallelism)
+    assert spark.conf.get(
+        "spark.sql.adaptive.coalescePartitions.enabled") == "false"
+
+
+def test_batch_plane_runs_one_task_per_core(spark):
+    cores = spark.sparkContext.defaultParallelism
+    spec = CollectionSpec("spread", "benchmark", 2 * cores + 1, (1500, 2000),
+                          (2, 2), (0.05, 0.1))
+    corpus = make_corpus(seed=5, collections=(spec,))
+    sc = spark.sparkContext
+    sc.setJobGroup("batch-plane-tasks", "segment_corpus_spark")
+    try:
+        res = segment_corpus_spark(corpus_to_spark(spark, corpus), "class",
+                                   {"d": 300})
+    finally:
+        sc.setJobGroup(None, None)
+    tracker = sc.statusTracker()
+    last_job = max(tracker.getJobIdsForGroup("batch-plane-tasks"))
+    result_stage = max(tracker.getJobInfo(last_job).stageIds)  # toPandas
+    assert tracker.getStageInfo(result_stage).numTasks == cores
+
+    assert res["cp"].max() > 0  # the series hold detectable CPs
+    for rec in corpus:
+        sub = res[(res.series_id == rec.series_id) & (res.cp >= 0)]
+        got = sorted(int(c) for c in sub["cp"])
+        assert got == make_detector("class", d=300).feed(rec.values), \
+            rec.series_id
