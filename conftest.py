@@ -6,8 +6,10 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf; ``get_session`` puts SPARK_DRIVER_MEM into
+    limit > half of /proc/meminfo's MemTotal, clamped to [2g, 8g] (the
+    rule of the tier-1 command in ROADMAP.md; 2g if MemTotal cannot be
+    read). spark.driver.memory is read at JVM launch, not from
+    SparkConf; ``get_session`` puts SPARK_DRIVER_MEM into
     PYSPARK_SUBMIT_ARGS before the first session starts.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
@@ -32,8 +34,15 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f
+                       if line.startswith("MemTotal:"))
+        gib, src = kib // (1 << 21), f"meminfo:MemTotal={kib}kB"
+    except (OSError, StopIteration, ValueError, IndexError):
+        gib, src = 2, "meminfo:unreadable"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = src
+    return f"{min(8, max(2, gib))}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

@@ -26,25 +26,44 @@ Shift").
 Buffer layout
 -------------
 Nothing is reallocated per point.  The window points, the per-
-subsequence mean and standard deviation, and the k-NN rows ``C``/``N``
-live in preallocated buffers of ``2 d`` slots that share one offset:
-window point ``i`` and the subsequence starting at it both sit at slot
-``offset + i``.  When the window is full, each point advances the offset
-by one (the oldest point and subsequence egress) and writes the new
-point and row at the end; once the end of the buffers is reached, the
-live part is copied back to slot 0, once every ``d + 1`` points.  The
-(w-1)-length dot products ``_q`` sit right-aligned in a buffer of
-``d - w + 1`` slots, because a growing window prepends one slot per
-point and a full one keeps its slots in place.  The public arrays
-(``win``, ``C``, ``N``, ``mu``, ``sig``) are views derived from the
-buffers when read; pickling keeps only the live window, ``_q`` and rows,
-and rebuilds the slack and the statistics on load.
+subsequence statistics and the k-NN rows live in preallocated buffers
+of ``2 d`` slots that share one offset: window point ``i`` and the
+subsequence starting at it both sit at slot ``offset + i``.  When the
+window is full, each point advances the offset by one (the oldest point
+and subsequence egress) and writes the new point and row at the end;
+once the end of the buffers is reached, the live part is copied back to
+slot 0, once every ``d + 1`` points.  The k-NN rows are stored column-
+major, as ``(k, 2 d)`` buffers: each neighbour rank is one contiguous
+run of slots, so the worst stored correlation that the "k-NN Update"
+compares against (rank ``k - 1``), and FLOSS's and the scorer's per-rank
+reads, are contiguous.  The (w-1)-length dot products ``_q`` sit
+right-aligned in a buffer of ``d - w + 1`` slots, because a growing
+window prepends one slot per point and a full one keeps its slots in
+place.  The public arrays (``win``, ``C``, ``N``) are views derived
+from the buffers when read; ``C`` and ``N`` are ``(m, k)`` transposed
+views.  Pickling keeps only the live window, ``_q`` and rows (``C``/``N``
+as C-ordered ``(m, k)`` arrays), and rebuilds the slack and the
+statistics on load.
 
-The mean and standard deviation of a subsequence (paper Eqns. 1-2) are
-computed once, from its own ``w`` values, when it enters the window, and
-then only move with it.  They equal ``np.mean``/``np.std`` of the
-subsequence bit for bit, so a restored instance recomputes the same
-values.
+The mean ``mu`` and standard deviation ``sig`` of a subsequence (paper
+Eqns. 1-2) are computed once, from its own ``w`` values, when it enters
+the window, bit for bit ``np.mean``/``np.std`` of the subsequence, so a
+restored instance recomputes the same values.  What is stored is what
+the correlation (Eqn. 4) reads: ``w * mu``, ``w * sig`` and whether the
+subsequence is flat (``sig < 1e-12``).  A running count of flat
+subsequences goes up on ingress and down on egress, so a point with no
+flat subsequence in the window passes no flat mask.
+
+Ties
+----
+Each row's neighbours are ordered by correlation, highest first; among
+equal correlations (such as the exact 1.0 of two flat subsequences, or
+the 0.0 of a flat one against any other) the lowest window offset, the
+oldest subsequence, comes first.  A NaN correlation ranks below every
+number.  The batch oracle :func:`batch_knn` selects with the same rule.
+The "k-NN Update" only adopts a subsequence that strictly beats a row's
+worst stored neighbour, so a younger subsequence never displaces an
+equal older one.
 
 The per-update invariant (verified exhaustively in the tests): as long
 as no point has egressed, row ``j`` holds the exact top-``k`` neighbours
@@ -101,20 +120,38 @@ def rolling_mean_std(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, sig
 
 
-def _safe_pearson(q: np.ndarray, w: int, mu: np.ndarray, sig: np.ndarray,
-                  mu_q: float, sig_q: float) -> np.ndarray:
-    """Pearson correlation from dot products (paper Eqn. 4), guarding
+def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
+    """Offsets of the ``k`` largest of ``vals`` (``k <= len(vals)``),
+    largest first; equal values go lowest offset first and NaN ranks
+    below every number.  ``k`` argmax passes over a copy, each pick
+    masked with ``-inf``."""
+    v = vals.copy()
+    top = np.empty(k, dtype=np.intp)
+    for i in range(k):
+        j = top[i] = v.argmax()
+        if v[j] != v[j]:
+            # argmax stops at the first NaN; a stable sort puts NaN last.
+            return np.argsort(-vals, kind="stable")[:k]
+        v[j] = -np.inf
+    return top
+
+
+def _safe_pearson(q: np.ndarray, wmu: np.ndarray, wsig: np.ndarray,
+                  mu_q: float, sig_q: float,
+                  flat: np.ndarray | None) -> np.ndarray:
+    """Pearson correlation from dot products (paper Eqn. 4), given
+    ``w * mu`` and ``w * sig`` of each subsequence, and guarding
     zero-variance (flat) subsequences: flat-vs-flat correlates 1, flat
-    vs non-flat correlates 0."""
-    flat = sig < 1e-12
+    vs non-flat correlates 0.  ``flat`` masks the flat subsequences, or
+    is ``None`` when there are none."""
     if sig_q < 1e-12:
+        if flat is None:
+            return np.zeros(len(q))
         return flat.astype(np.float64)
-    c = w * mu
-    c *= mu_q
+    c = np.multiply(wmu, mu_q)
     np.subtract(q, c, out=c)
-    denom = w * sig
-    denom *= sig_q
-    if flat.any():
+    denom = np.multiply(wsig, sig_q)
+    if flat is not None:
         denom[flat] = 1.0
         c /= denom
         c[flat] = 0.0
@@ -147,8 +184,6 @@ class StreamingKNN:
         Absolute stream start positions of each neighbour;
         ``_UNSET`` (< 0 sentinel far below any real position) while a
         row has fewer than ``k`` neighbours.
-    mu, sig : (m,) float64
-        Mean and standard deviation of each subsequence.
     """
 
     _UNSET = np.iinfo(np.int64).min // 2
@@ -164,10 +199,12 @@ class StreamingKNN:
         self.start_abs = 0    # absolute position of win[0]
         self._off = 0         # buffer slot of win[0] and of row 0
         self._buf = np.empty(2 * d)
-        self._mu = np.empty(2 * d)
-        self._sig = np.empty(2 * d)
-        self._C = np.empty((2 * d, k))
-        self._N = np.empty((2 * d, k), dtype=np.int64)
+        self._wmu = np.empty(2 * d)     # w * mu
+        self._wsig = np.empty(2 * d)    # w * sig
+        self._flat = np.empty(2 * d, dtype=bool)
+        self._nflat = 0                 # flat subsequences in the window
+        self._C = np.empty((k, 2 * d))
+        self._N = np.empty((k, 2 * d), dtype=np.int64)
         # Right-aligned: _q[i] between updates is
         # dot(win[i+1:i+w], win[L-w+1:L]), the (w-1)-length dot products
         # ready for the next iteration (paper Eqns. 3/5).
@@ -180,7 +217,7 @@ class StreamingKNN:
         return max(0, self.pos - self.start_abs - self.w + 1)
 
     def _rows(self, buf: np.ndarray) -> np.ndarray:
-        return buf[self._off:self._off + self.n_subseqs]
+        return buf[..., self._off:self._off + self.n_subseqs]
 
     @property
     def win(self) -> np.ndarray:
@@ -188,30 +225,34 @@ class StreamingKNN:
 
     @property
     def C(self) -> np.ndarray:
-        return self._rows(self._C)
+        return self._rows(self._C).T
 
     @property
     def N(self) -> np.ndarray:
-        return self._rows(self._N)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self._rows(self._mu)
-
-    @property
-    def sig(self) -> np.ndarray:
-        return self._rows(self._sig)
+        return self._rows(self._N).T
 
     @property
     def _q(self) -> np.ndarray:
         return self._qbuf[len(self._qbuf) - self.n_subseqs:]
 
+    def _row_major(self, buf: np.ndarray) -> np.ndarray:
+        """The live rows of a ``(k, 2 d)`` buffer as a C-ordered
+        ``(m, k)`` array, filled one rank (a contiguous read) at a time,
+        which copies faster than ``np.stack`` or a transposed ``copy``."""
+        ranks = self._rows(buf)
+        out = np.empty(ranks.shape[::-1], dtype=buf.dtype)
+        for c, rank in enumerate(ranks):
+            out[:, c] = rank
+        return out
+
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         # Views pickle their own elements only: the slack stays behind.
+        # The rows pickle as C-ordered (m, k) arrays, whatever the
+        # buffers' layout, so the state format does not follow it.
         return {"d": self.d, "w": self.w, "k": self.k, "pos": self.pos,
-                "start_abs": self.start_abs, "win": self.win,
-                "q": self._q, "C": self.C, "N": self.N}
+                "start_abs": self.start_abs, "win": self.win, "q": self._q,
+                "C": self._row_major(self._C), "N": self._row_major(self._N)}
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["d"], state["w"], state["k"])
@@ -220,14 +261,20 @@ class StreamingKNN:
         m = self.n_subseqs
         self._buf[:len(win)] = win
         self._qbuf[len(self._qbuf) - m:] = state["q"]
-        self._C[:m], self._N[:m] = state["C"], state["N"]
-        self._mu[:m], self._sig[:m] = rolling_mean_std(win, self.w)
+        self._C[:, :m], self._N[:, :m] = state["C"].T, state["N"].T
+        mu, sig = rolling_mean_std(win, self.w)
+        np.multiply(self.w, mu, out=self._wmu[:m])
+        np.multiply(self.w, sig, out=self._wsig[:m])
+        flat = np.less(sig, 1e-12, out=self._flat[:m])
+        self._nflat = int(np.count_nonzero(flat))
 
     def _compact(self) -> None:
         """Copy the live points and rows back to slot 0."""
         off, n = self._off, self.d - 1
-        for buf in (self._buf, self._mu, self._sig, self._C, self._N):
+        for buf in (self._buf, self._wmu, self._wsig, self._flat):
             buf[:n] = buf[off:off + n]
+        for buf in (self._C, self._N):
+            buf[:, :n] = buf[:, off:off + n]
         self._off = 0
 
     # ------------------------------------------------------------------
@@ -244,6 +291,8 @@ class StreamingKNN:
         at_capacity = L == d
         if at_capacity:
             # The oldest point and its subsequence egress.
+            if self._flat[self._off]:
+                self._nflat -= 1
             self.start_abs += 1
             self._off += 1
             if self._off + d > len(self._buf):
@@ -261,7 +310,10 @@ class StreamingKNN:
 
         # --- stats of the newest subsequence (Eqns. 1-2) --------------
         mu_q, sig_q = _mean_std(win[None, L - w:], w)
-        self._mu[new], self._sig[new] = mu_q[0], sig_q[0]
+        mu_q, sig_q = mu_q[0], sig_q[0]
+        self._wmu[new], self._wsig[new] = w * mu_q, w * sig_q
+        self._flat[new] = flat_q = sig_q < 1e-12
+        self._nflat += int(flat_q)
 
         # --- dot products (paper Alg. 2 lines 5-10, Eqns. 3/5) --------
         q = self._qbuf[len(self._qbuf) - m:]
@@ -272,14 +324,15 @@ class StreamingKNN:
             q[0] = win[0:w - 1] @ win[L - w:L - 1]
         q_full = win[w - 1:L] * x
         q_full += q                          # Eqn. 3: w-length dots
-        corr = _safe_pearson(q_full, w, self._mu[off:new + 1],
-                             self._sig[off:new + 1], mu_q[0], sig_q[0])
+        flat = self._flat[off:new + 1] if self._nflat else None
+        corr = _safe_pearson(q_full, self._wmu[off:new + 1],
+                             self._wsig[off:new + 1], mu_q, sig_q, flat)
         # Eqn. 5: restore (w-1)-length dots for the next update.
         np.multiply(win[0:m], win[L - w], out=q)
         np.subtract(q_full, q, out=q)
 
-        self._C[new] = -np.inf
-        self._N[new] = self._UNSET
+        self._C[:, new] = -np.inf
+        self._N[:, new] = self._UNSET
         return corr
 
     def adopt(self, corr: np.ndarray) -> None:
@@ -292,18 +345,18 @@ class StreamingKNN:
         if n_cand < 1:
             return
         cand = corr[:n_cand]
-        Cr, Nr = self._C[off:off + n_cand], self._N[off:off + n_cand]
-        rows = np.flatnonzero(cand > Cr[:, k - 1])
-        if rows.size:
-            cvals = cand[rows]
-            # insertion position: number of stored corrs >= new one
-            ins = (Cr[rows] >= cvals[:, None]).sum(axis=1)
-            for col in range(k - 1, 0, -1):
-                mv = rows[ins <= col - 1]
-                Cr[mv, col] = Cr[mv, col - 1]
-                Nr[mv, col] = Nr[mv, col - 1]
-            Cr[rows, ins] = cvals
-            Nr[rows, ins] = self.pos - self.w   # the newest's start
+        Cr, Nr = self._C[:, off:off + n_cand], self._N[:, off:off + n_cand]
+        rows = (cand > Cr[k - 1]).nonzero()[0]
+        newest = self.pos - self.w   # the newest's start
+        # A few rows adopt per point (about 2 in a steady d=10k stream),
+        # so each is an insertion into its sorted k ranks; stored equal
+        # correlations stay ahead of the newest.
+        for r, c in zip(rows.tolist(), cand[rows].tolist()):
+            i = k - 1
+            while i and Cr[i - 1, r] < c:
+                Cr[i, r], Nr[i, r] = Cr[i - 1, r], Nr[i - 1, r]
+                i -= 1
+            Cr[i, r], Nr[i, r] = c, newest
 
     def update(self, x: float) -> np.ndarray | None:
         """Ingress one data point; O(k*d) (paper Section 3.6).
@@ -322,11 +375,10 @@ class StreamingKNN:
             return corr
         cand = corr[:n_cand]
         top = min(self.k, n_cand)
-        sel = np.argpartition(-cand, top - 1)[:top]
-        sel = sel[np.argsort(-cand[sel], kind="stable")]
+        sel = _top_k(cand, top)
         new = self._off + m - 1
-        self._C[new, :top] = cand[sel]
-        self._N[new, :top] = sel + self.start_abs
+        self._C[:top, new] = cand[sel]
+        self._N[:top, new] = sel + self.start_abs
         self.adopt(corr)
         return corr
 
@@ -341,10 +393,13 @@ def pairwise_pearson(T: np.ndarray, w: int) -> np.ndarray:
     subs = np.lib.stride_tricks.sliding_window_view(T, w)
     mu = subs.mean(axis=1)
     sig = subs.std(axis=1)
+    flat = sig < 1e-12
+    flat = flat if flat.any() else None
+    wmu, wsig = w * mu, w * sig
     out = np.empty((m, m))
     for i in range(m):
         q = subs @ subs[i]
-        out[i] = _safe_pearson(q, w, mu, sig, mu[i], sig[i])
+        out[i] = _safe_pearson(q, wmu, wsig, mu[i], sig[i], flat)
     return out
 
 
@@ -362,8 +417,7 @@ def batch_knn(T: np.ndarray, w: int, k: int = 3):
             continue
         vals = corr[j, cand]
         top = min(k, cand.size)
-        sel = np.argpartition(-vals, top - 1)[:top]
-        sel = sel[np.argsort(-vals[sel], kind="stable")]
+        sel = _top_k(vals, top)
         C[j, :top] = vals[sel]
         N[j, :top] = cand[sel]
     return C, N

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from repro.core import streaming_knn
-from repro.core.streaming_knn import (StreamingKNN, _safe_pearson, batch_knn,
-                                      pairwise_pearson, rolling_mean_std)
+from repro.core.class_stream import ClaSS, ClaSSConfig
+from repro.core.streaming_knn import (StreamingKNN, _safe_pearson, _top_k,
+                                      batch_knn, pairwise_pearson,
+                                      rolling_mean_std)
+from repro.harness.throughput import _test_stream
 
 
 def _signals(n, seed=0):
@@ -88,6 +91,76 @@ def test_stored_correlations_consistent_after_egress():
                 assert np.isclose(s.C[j, c], corr[j, o], atol=1e-8)
 
 
+def _flat_noise_flat(n_noise=30, n_flat=40, seed=7):
+    """A flat stretch, a noise segment, and a flat stretch at another
+    level: flat-vs-flat correlations tie at exactly 1.0, flat-vs-other
+    ones at exactly 0.0.  One boundary of each kind, so no two non-flat
+    subsequences share a shape up to scale (as two one-outlier ones
+    would) and tie only up to rounding."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([np.full(n_flat, 0.3), rng.standard_normal(n_noise),
+                           np.full(n_flat, 0.7)])
+
+
+def _ranked(vals, k):
+    """Top-k offsets by the documented rule: highest correlation first,
+    equal correlations lowest offset first."""
+    return np.argsort(-vals, kind="stable")[:k]
+
+
+def test_top_k_rule_with_ties_and_nan():
+    """Highest first, equal values lowest offset first, NaN below every
+    number: what a stable descending sort gives, for any ``k``."""
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        vals = rng.choice([-1.0, 0.0, 0.25, 1.0, np.nan], size=12)
+        vals[rng.random(12) < 0.3] = rng.standard_normal()
+        for k in (1, 3, 12):
+            np.testing.assert_array_equal(_top_k(vals, k),
+                                          _ranked(vals, k))
+
+
+@pytest.mark.parametrize("w,k", [(6, 3), (10, 5)])
+def test_exact_ties_go_to_the_lowest_offset(w, k):
+    """Exact 1.0/0.0 ties: before egress every row (``N`` included)
+    equals the batch oracle's, and both rank equal correlations lowest
+    offset first; after egress the newest row is still the exact top-k
+    of its correlations by that rule, at every step."""
+    T = _flat_noise_flat()
+    s = StreamingKNN(d=400, w=w, k=k)
+    for x in T:
+        s.update(x)
+    C_b, N_b = batch_knn(T, w, k)
+    np.testing.assert_allclose(s.C, C_b, atol=1e-8)
+    np.testing.assert_array_equal(s.N - s.start_abs, N_b)
+    corr = pairwise_pearson(T, w)
+    m = len(T) - w + 1
+    ties = 0
+    for j in range(m):
+        cand = np.flatnonzero(np.abs(np.arange(m) - j) > s.excl)
+        vals = corr[j, cand]
+        top = _ranked(vals, k)
+        np.testing.assert_array_equal(N_b[j], cand[top])
+        ties += np.count_nonzero(vals == vals[top[-1]]) > 1
+    assert ties > m // 2
+
+    d = 100
+    T = np.concatenate([_flat_noise_flat(seed=r) for r in range(4)])
+    s = StreamingKNN(d=d, w=w, k=k)
+    for x in T:
+        corr = s.update(x)
+        n_cand = s.n_subseqs - 1 - s.excl
+        if s.start_abs == 0 or n_cand < k:
+            continue
+        top = _ranked(corr[:n_cand], k)
+        np.testing.assert_array_equal(s.N[-1] - s.start_abs, top)
+        np.testing.assert_array_equal(s.C[-1], corr[top])
+        brute = pairwise_pearson(s.win, w)[-1, :n_cand]
+        np.testing.assert_allclose(s.C[-1], np.sort(brute)[::-1][:k],
+                                   atol=1e-8)
+    assert s.start_abs > 2 * d
+
+
 def test_exclusion_zone_respected():
     T = _signals(200, seed=3)["sine"]
     w, k = 12, 3
@@ -166,10 +239,17 @@ def _with_flat_stretch(n, flat_at, flat_len, seed=6):
     return x
 
 
+def _stats(s):
+    """The stored ``w * mu``, ``w * sig`` and flat flag per subsequence."""
+    return s._rows(s._wmu), s._rows(s._wsig), s._rows(s._flat)
+
+
 def test_stats_equal_numpy_after_egress_wrap_and_flat():
     """Each subsequence's mean and std, computed once when it enters the
     window, must stay those of its values while the window slides, the
-    buffers wrap, and a flat stretch passes through."""
+    buffers wrap, and a flat stretch passes through: the stored
+    ``w * mu`` and ``w * sig`` are ``w`` times ``np.mean``/``np.std``
+    bit for bit, and the flat flags and their count follow ``sig``."""
     d, w = 50, 7
     T = _with_flat_stretch(3 * d + 17, flat_at=125, flat_len=30)
     s = StreamingKNN(d=d, w=w, k=3)
@@ -180,17 +260,33 @@ def test_stats_equal_numpy_after_egress_wrap_and_flat():
         if i < 2 * d:
             continue
         subs = np.lib.stride_tricks.sliding_window_view(s.win, w)
-        assert len(s.mu) == len(s.sig) == len(subs) == s.n_subseqs
+        wmu, wsig, flat = _stats(s)
+        assert len(wmu) == len(wsig) == len(flat) == len(subs) == s.n_subseqs
         for j, sub in enumerate(subs):
-            assert abs(s.mu[j] - np.mean(sub)) <= 1e-12
-            assert abs(s.sig[j] - np.std(sub)) <= 1e-12
+            assert wmu[j] == w * np.mean(sub)
+            assert wsig[j] == w * np.std(sub)
+            assert flat[j] == (np.std(sub) < 1e-12)
+        assert s._nflat == np.count_nonzero(flat)
     assert wrapped
-    flat = s.sig < 1e-12
     assert flat.any() and not flat.all()
 
 
 def _state(s):
-    return [a.tobytes() for a in (s.win, s._q, s.C, s.N, s.mu, s.sig)]
+    return ([a.tobytes() for a in (s.win, s._q, s.C, s.N, *_stats(s))]
+            + [s._nflat])
+
+
+def _rowmajor_state(s):
+    """The state dict as the row-major ``(2 d, k)`` row buffers wrote it
+    (operator checkpoints hold it): ``C``/``N`` are C-contiguous
+    ``(m, k)`` views into those buffers."""
+    m, off = s.n_subseqs, s._off
+    C = np.empty((2 * s.d, s.k))
+    N = np.empty((2 * s.d, s.k), dtype=np.int64)
+    C[off:off + m], N[off:off + m] = s.C, s.N
+    return {"d": s.d, "w": s.w, "k": s.k, "pos": s.pos,
+            "start_abs": s.start_abs, "win": s.win, "q": s._q,
+            "C": C[off:off + m], "N": N[off:off + m]}
 
 
 @pytest.mark.parametrize("block", [1 << 16, 16])
@@ -198,8 +294,11 @@ def test_pickle_round_trip_around_buffer_wrap(monkeypatch, block):
     """A k-NN restored from a pickle taken just before, at or just after
     a buffer wrap holds the same window, dot products and rows, and
     produces the same outputs as an uninterrupted instance, bit for bit;
-    the pickle carries no buffer slack.  A small ``_STATS_BLOCK`` makes
-    the load recompute the statistics in several blocks."""
+    the pickle carries no buffer slack.  The state keeps its format:
+    ``C``/``N`` are C-contiguous ``(m, k)`` arrays, pickled to the same
+    bytes as the row-major layout's, and a state dict written in that
+    layout resumes the same way.  A small ``_STATS_BLOCK`` makes the
+    load recompute the statistics in several blocks."""
     monkeypatch.setattr(streaming_knn, "_STATS_BLOCK", block)
     d, w, k = 40, 6, 3
     T = _with_flat_stretch(4 * d, flat_at=2 * d - 10, flat_len=15)
@@ -215,14 +314,39 @@ def test_pickle_round_trip_around_buffer_wrap(monkeypatch, block):
         for x in T[:cut + 1]:
             a.update(x)
         blob = pickle.dumps(a)
-        b = pickle.loads(blob)
-        assert _state(b) == _state(a)
-        m = b.n_subseqs
+        m = a.n_subseqs
         assert len(blob) < 8 * (d + m + 2 * m * k) + 1_000
-        for i in range(cut + 1, len(T)):
-            assert b.update(T[i]).tobytes() == outs[i], (cut, i)
-        assert _state(b) == _state(ref)
-        assert (b.pos, b.start_abs) == (ref.pos, ref.start_abs)
+        state, old = a.__getstate__(), _rowmajor_state(a)
+        assert state.keys() == old.keys()
+        for key in ("C", "N"):
+            assert state[key].shape == (m, k)
+            assert state[key].flags.c_contiguous
+        assert pickle.dumps(state) == pickle.dumps(old)
+        b = pickle.loads(blob)
+        c = StreamingKNN.__new__(StreamingKNN)
+        c.__setstate__(pickle.loads(pickle.dumps(old)))
+        for b in (b, c):
+            assert _state(b) == _state(a)
+            for i in range(cut + 1, len(T)):
+                assert b.update(T[i]).tobytes() == outs[i], (cut, i)
+            assert _state(b) == _state(ref)
+            assert (b.pos, b.start_abs) == (ref.pos, ref.start_abs)
+
+
+def test_class_resumes_from_rowmajor_checkpoint(monkeypatch):
+    """A ClaSS pickled with the row-major layout's k-NN state (as an
+    operator checkpoint holds it) resumes to the uninterrupted run's
+    CPs."""
+    T = _test_stream(6000, 1)[0]
+    ref_cps = ClaSS(ClaSSConfig(d=600)).feed(T)
+    assert len(ref_cps) >= 2
+    cls = ClaSS(ClaSSConfig(d=600))
+    cps = cls.feed(T[:3000])
+    with monkeypatch.context() as mp:
+        mp.setattr(StreamingKNN, "__getstate__", _rowmajor_state)
+        blob = pickle.dumps(cls)
+    cps += pickle.loads(blob).feed(T[3000:])
+    assert cps == ref_cps
 
 
 @pytest.mark.parametrize("w", [1, 10, 37, 500, 1000])
@@ -243,9 +367,10 @@ def test_safe_pearson_flat_rows():
     subs = np.array([[1.0, 2.0, 0.0, 5.0], [2.0, 2.0, 2.0, 2.0],
                      [0.0, 1.0, 3.0, 1.0]])
     mu, sig = subs.mean(axis=1), subs.std(axis=1)
-    got = _safe_pearson(subs @ subs[1], w, mu, sig, mu[1], sig[1])
+    wmu, wsig, flat = w * mu, w * sig, sig < 1e-12
+    got = _safe_pearson(subs @ subs[1], wmu, wsig, mu[1], sig[1], flat)
     np.testing.assert_array_equal(got, [0.0, 1.0, 0.0])
-    got = _safe_pearson(subs @ subs[0], w, mu, sig, mu[0], sig[0])
+    got = _safe_pearson(subs @ subs[0], wmu, wsig, mu[0], sig[0], flat)
     assert got[1] == 0.0 and got[0] == pytest.approx(1.0)
     assert got[2] == pytest.approx(np.corrcoef(subs[0], subs[2])[0, 1])
 

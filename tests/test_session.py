@@ -1,6 +1,11 @@
 """The session's one partition rule: a shuffle has one partition per
 core and AQE does not coalesce them, so the batch plane spreads a job's
-series over the cores."""
+series over the cores.  And the driver heap the test session asks for
+when nothing sets it."""
+import builtins
+import os
+
+import conftest
 from repro.datasets.archives import (CollectionSpec, corpus_to_spark,
                                      make_corpus)
 from repro.methods import make_detector
@@ -37,3 +42,22 @@ def test_batch_plane_runs_one_task_per_core(spark):
         got = sorted(int(c) for c in sub["cp"])
         assert got == make_detector("class", d=300).feed(rec.values), \
             rec.series_id
+
+
+def test_driver_mem_without_env_or_cgroup_follows_meminfo(monkeypatch):
+    """With SPARK_DRIVER_MEM unset and no cgroup limit readable, the
+    driver heap is half of MemTotal within [2g, 8g], never more than the
+    machine has."""
+    real_open = builtins.open
+
+    def no_cgroup(path, *args, **kwargs):
+        if str(path).startswith("/sys/fs/cgroup"):
+            raise OSError(f"unreadable: {path}")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+    monkeypatch.setenv("_SPARK_DRIVER_MEM_SRC", "")
+    monkeypatch.setattr(builtins, "open", no_cgroup)
+    mem = conftest._driver_mem()
+    assert mem.endswith("g") and 2 <= int(mem[:-1]) <= 8
+    assert os.environ["_SPARK_DRIVER_MEM_SRC"].startswith("meminfo:")
