@@ -21,12 +21,11 @@ def get_session(app: str) -> SparkSession:
     shuffle path at corpus scale.
 
     A shuffle has one partition per core (``defaultParallelism``) and
-    AQE does not coalesce them, so both Spark planes run one
-    Python-worker task per core: an operator trigger starts no more
-    tasks than there are cores, and a batch-plane job's few series are
-    not folded into one task. A stateful query keeps the count it
+    AQE does not coalesce them, so an operator trigger runs one
+    Python-worker task per core. A stateful query keeps the count it
     started with in its checkpoint, so a restarted operator runs at
-    its first count.
+    its first count. The batch plane sets its own partition count, one
+    per series (``corpus_to_spark``).
     """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",

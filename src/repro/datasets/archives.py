@@ -22,7 +22,7 @@ from repro.datasets.generators import (FAMILIES, Regime, distinct_regime,
                                        gen_segment, sample_regime)
 
 __all__ = ["TSRecord", "CollectionSpec", "COLLECTIONS", "make_corpus",
-           "corpus_long_pdf", "corpus_to_spark", "table1_stats"]
+           "corpus_to_spark", "table1_stats"]
 
 
 @dataclass
@@ -133,25 +133,33 @@ def make_corpus(seed: int = 0,
 # ----------------------------------------------------------------------
 # Frame conversions
 # ----------------------------------------------------------------------
-def corpus_long_pdf(records: list[TSRecord]) -> pd.DataFrame:
-    """Long format: one row per observation — the Spark-side input."""
-    frames = [
-        pd.DataFrame({
-            "collection": r.collection,
-            "dataset": r.dataset,
-            "series_id": r.series_id,
-            "t": np.arange(r.n, dtype=np.int64),
-            "value": r.values,
-        })
-        for r in records
-    ]
-    return pd.concat(frames, ignore_index=True)
+_CORPUS_SCHEMA = ("collection string, dataset string, series_id string, "
+                  "n long, slot int, values array<double>")
 
 
 def corpus_to_spark(spark, records: list[TSRecord]):
-    """The corpus as a Spark DataFrame, partitioned by series."""
-    df = spark.createDataFrame(corpus_long_pdf(records))
-    return df.repartition("series_id")
+    """The corpus as a Spark DataFrame, one row per series.
+
+    Columns: ``collection``, ``dataset``, ``series_id``, ``n`` (the
+    series length), ``slot`` (the series' rank by length, longest first;
+    ties keep input order) and ``values`` (``array<double>``).  Row
+    ``slot`` is placed in partition ``slot`` of ``len(records)``, so each
+    series is one task, and Spark's local scheduler, which starts tasks
+    in partition order, starts the longest series first (the LPT rule).
+    """
+    order = sorted(range(len(records)), key=lambda i: -records[i].n)
+    slot = np.empty(len(records), dtype=np.int32)
+    slot[order] = np.arange(len(records), dtype=np.int32)
+    pdf = pd.DataFrame({
+        "collection": [r.collection for r in records],
+        "dataset": [r.dataset for r in records],
+        "series_id": [r.series_id for r in records],
+        "n": [r.n for r in records],
+        "slot": slot,
+        "values": [r.values for r in records],
+    })
+    df = spark.createDataFrame(pdf, _CORPUS_SCHEMA)
+    return df.repartitionById(len(records), "slot")
 
 
 def table1_stats(records: list[TSRecord]) -> pd.DataFrame:

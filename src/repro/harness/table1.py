@@ -3,8 +3,9 @@
 The paper's Table 1 lists, per data set: number of series, length
 min/median/max and segment-count min/median/max.  We compute the same
 statistics for the synthetic corpus (DESIGN.md S1) twice — once in
-Spark SQL over the long-format corpus DataFrame and once driver-side
-from the records — and oracle-check the Spark aggregation with DuckDB.
+Spark SQL over the corpus DataFrame (one row per series, with its
+length ``n``) and once driver-side from the records — and oracle-check
+the Spark aggregation with DuckDB.
 """
 from __future__ import annotations
 
@@ -32,10 +33,6 @@ def run_table1(spark: SparkSession,
     ])
     spark.createDataFrame(seg_pdf).createOrReplaceTempView("segs")
     sql = """
-        WITH lens AS (
-            SELECT dataset, series_id, count(*) AS n
-            FROM corpus GROUP BY dataset, series_id
-        )
         SELECT l.dataset,
                count(*)                                    AS n_ts,
                min(l.n)                                    AS len_min,
@@ -44,7 +41,7 @@ def run_table1(spark: SparkSession,
                min(s.n_segments)                           AS segs_min,
                cast(median(s.n_segments) AS double)        AS segs_median,
                max(s.n_segments)                           AS segs_max
-        FROM lens l JOIN segs s
+        FROM corpus l JOIN segs s
           ON l.series_id = s.series_id AND l.dataset = s.dataset
         GROUP BY l.dataset
         ORDER BY l.dataset
@@ -52,7 +49,7 @@ def run_table1(spark: SparkSession,
     agg = spark.sql(sql)
     assert_equivalent(
         agg, sql,
-        corpus=df.select("dataset", "series_id"),
+        corpus=df.select("dataset", "series_id", "n"),
         segs=seg_pdf)
     out = agg.toPandas()
     # Cross-check every column against the driver-side computation, which

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from repro.datasets.archives import (COLLECTIONS, _MIN_SEGMENT,
-                                     CollectionSpec, corpus_long_pdf,
-                                     make_corpus, table1_stats)
+                                     CollectionSpec, TSRecord,
+                                     corpus_to_spark, make_corpus,
+                                     table1_stats)
 from repro.datasets.generators import (FAMILIES, Regime, distinct_regime,
                                        gen_segment, sample_regime)
 
@@ -91,15 +92,28 @@ def test_annotated_period_in_sane_range():
         assert 10 <= r.period <= 50
 
 
-def test_long_pdf_shape_and_order():
+def test_corpus_frame_is_one_row_per_series_longest_first(spark):
     corpus = make_corpus(collections=TINY)
-    pdf = corpus_long_pdf(corpus)
-    assert set(pdf.columns) == {"collection", "dataset", "series_id",
-                                "t", "value"}
-    assert len(pdf) == sum(r.n for r in corpus)
-    one = pdf[pdf.series_id == corpus[0].series_id]
-    assert (one["t"].to_numpy() == np.arange(corpus[0].n)).all()
-    np.testing.assert_array_equal(one["value"].to_numpy(), corpus[0].values)
+    # Same length as corpus[1] but later in the input: the tie goes to
+    # corpus[1].
+    tie = corpus[1]
+    corpus.append(TSRecord(tie.collection, tie.dataset, "tie",
+                           tie.values[::-1].copy(), [], tie.period))
+    df = corpus_to_spark(spark, corpus)
+    assert df.columns == ["collection", "dataset", "series_id", "n",
+                          "slot", "values"]
+    rows = {r.series_id: r for r in df.collect()}
+    assert len(rows) == len(corpus)
+
+    by_length = sorted(range(len(corpus)), key=lambda i: -corpus[i].n)
+    for slot, i in enumerate(by_length):
+        rec, row = corpus[i], rows[corpus[i].series_id]
+        assert row.slot == slot
+        assert (row.collection, row.dataset, row.n) == (rec.collection,
+                                                         rec.dataset, rec.n)
+        assert (np.asarray(row["values"], dtype=np.float64).tobytes()
+                == rec.values.tobytes())
+    assert rows["tie"].slot == rows[tie.series_id].slot + 1
 
 
 def test_table1_stats_consistent():

@@ -43,9 +43,11 @@ def test_warmup_change_points_reach_the_batch_plane(spark):
 
 
 def test_sentinel_row_always_present(spark, tiny_corpus):
-    df = corpus_to_spark(spark, tiny_corpus)
+    empty = TSRecord("benchmark", "empty", "e0", np.array([]), [], 20)
+    records = [*tiny_corpus, empty]
+    df = corpus_to_spark(spark, records)
     res = segment_corpus_spark(df, "hddm", {"drift_confidence": 1e-60})
-    for rec in tiny_corpus:
+    for rec in records:
         sub = res[res.series_id == rec.series_id]
         assert (sub.cp == -1).sum() == 1
         assert (sub.n == rec.n).all()

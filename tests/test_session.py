@@ -1,9 +1,11 @@
 """The session's one partition rule: a shuffle has one partition per
-core and AQE does not coalesce them, so the batch plane spreads a job's
-series over the cores.  And the driver heap the test session asks for
-when nothing sets it."""
+core and AQE does not coalesce them.  The batch plane's placement rule:
+each series alone in its own task, longest first.  And the driver heap
+the test session asks for when nothing sets it."""
 import builtins
 import os
+
+from pyspark.sql.functions import spark_partition_id
 
 import conftest
 from repro.datasets.archives import (CollectionSpec, corpus_to_spark,
@@ -19,22 +21,44 @@ def test_shuffle_partitions_follow_the_cores(spark):
         "spark.sql.adaptive.coalescePartitions.enabled") == "false"
 
 
-def test_batch_plane_runs_one_task_per_core(spark):
+def test_batch_plane_runs_one_task_per_series_longest_first(spark,
+                                                            monkeypatch):
     cores = spark.sparkContext.defaultParallelism
     spec = CollectionSpec("spread", "benchmark", 2 * cores + 1, (1500, 2000),
                           (2, 2), (0.05, 0.1))
     corpus = make_corpus(seed=5, collections=(spec,))
+    df = corpus_to_spark(spark, corpus)
+
+    # The i-th longest series sits alone in partition i.
+    pid = dict(df.select("series_id", spark_partition_id()).collect())
+    longest_first = sorted(corpus, key=lambda r: -r.n)
+    assert ([pid[r.series_id] for r in longest_first]
+            == list(range(len(corpus))))
+
+    plans = []
+    to_pandas = type(df).toPandas
+
+    def recording_to_pandas(self):
+        out = to_pandas(self)
+        plans.append(self._jdf.queryExecution().executedPlan().toString())
+        return out
+
+    monkeypatch.setattr(type(df), "toPandas", recording_to_pandas)
     sc = spark.sparkContext
     sc.setJobGroup("batch-plane-tasks", "segment_corpus_spark")
     try:
-        res = segment_corpus_spark(corpus_to_spark(spark, corpus), "class",
-                                   {"d": 300})
+        res = segment_corpus_spark(df, "class", {"d": 300})
     finally:
         sc.setJobGroup(None, None)
     tracker = sc.statusTracker()
     last_job = max(tracker.getJobIdsForGroup("batch-plane-tasks"))
     result_stage = max(tracker.getJobInfo(last_job).stageIds)  # toPandas
-    assert tracker.getStageInfo(result_stage).numTasks == cores
+    assert tracker.getStageInfo(result_stage).numTasks == len(corpus)
+    # Grouping by (slot, series_id) keeps the slot placement: no second
+    # exchange hashes the series back onto shared partitions.
+    plan = plans[-1].lower()
+    assert "shufflepartitionidpassthrough" in plan
+    assert "hashpartitioning" not in plan
 
     assert res["cp"].max() > 0  # the series hold detectable CPs
     for rec in corpus:
