@@ -20,12 +20,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.baselines.base import StreamingDetector
-from repro.core.scoring import (cross_val_scores, pred_thresholds,
-                                split_label_counts)
+# The scoring kernel and SuSS are bound under the names
+# ``cross_val_scores`` and ``learn_width`` and called through them, like
+# the significance test, so timing wrappers can patch each on this
+# module.  ``split_label_counts`` is bound for those wrappers only:
+# ``best_split`` returns the counts.
+from repro.core.scoring import best_split as cross_val_scores
+from repro.core.scoring import pred_thresholds
+from repro.core.scoring import split_label_counts  # noqa: F401
 from repro.core.significance import resampled_rank_sum_test
 from repro.core.streaming_knn import StreamingKNN
-# Bound under the name ``learn_width`` and called through it (like the
-# three kernels above) so timing wrappers can patch it on this module.
 from repro.core.suss import suss as learn_width
 
 __all__ = ["ClaSS", "ClaSSConfig"]
@@ -126,22 +130,19 @@ class ClaSS(StreamingDetector):
         rs = max(0, self._region_start_abs - knn.start_abs)
         region = knn.n_subseqs - rs
         # Valid splits keep EXCL_FACTOR*w subsequences on both sides.
-        # Passing this check means region >= 2*EXCL_FACTOR*w >= 30, so
-        # the profile has region - 1 >= 29 entries and the slice below
-        # at least one.
+        # Passing this check means region >= 2*EXCL_FACTOR*w >= 30 and
+        # 1 <= valid_lo <= valid_hi <= region - 1, the kernel's range.
         margin = EXCL_FACTOR * w
         valid_lo, valid_hi = margin, region - margin  # s in [lo, hi]
         if valid_hi < valid_lo:
             return None
 
         # Flip thresholds once per point, region-relative (the k-th
-        # smallest commutes with the shift from absolute positions).
+        # smallest commutes with the shift from absolute positions); one
+        # pass gives the best valid split and its label counts.
         t = pred_thresholds(knn.N[rs:])
         t -= knn.start_abs + rs
-        profile = cross_val_scores(t)
-        s_best = valid_lo + int(np.argmax(profile[valid_lo - 1:valid_hi]))
-
-        l0, l1, r0, r1 = split_label_counts(t, s_best)
+        s_best, l0, l1, r0, r1 = cross_val_scores(t, valid_lo, valid_hi)
         p = resampled_rank_sum_test(
             l0, l1, r0, r1, sample_size=SAMPLE_SIZE, rng=self._rng)
         if p > P_THRESHOLD:

@@ -77,6 +77,8 @@ egress, since those never egress before ``j``.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -309,8 +311,12 @@ class StreamingKNN:
         new = off + m - 1     # buffer row of the newest subsequence
 
         # --- stats of the newest subsequence (Eqns. 1-2) --------------
-        mu_q, sig_q = _mean_std(win[None, L - w:], w)
-        mu_q, sig_q = mu_q[0], sig_q[0]
+        # The 1-D form of _mean_std: the same bits, fewer calls.
+        sub = win[L - w:]
+        mu_q = np.add.reduce(sub) / w
+        dev = sub - mu_q
+        dev *= dev
+        sig_q = math.sqrt(np.add.reduce(dev) / w)
         self._wmu[new], self._wsig[new] = w * mu_q, w * sig_q
         self._flat[new] = flat_q = sig_q < 1e-12
         self._nflat += int(flat_q)

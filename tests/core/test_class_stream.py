@@ -172,3 +172,22 @@ def test_reproduces_committed_corpus_references():
         assert emitted == refs["series"][rec.series_id], rec.series_id
         n_cps += len(emitted)
     assert n_cps > 0
+
+
+def test_reproduces_committed_d10k_stream_reference():
+    """The exactness oracle at the paper's d=10k: on the first 20,000
+    points of the benchmark's first stream, ClaSS(d=10_000) emits the
+    committed reference CPs, each after the same number of fed points
+    (9 CPs, 4 of them found while the warm-up buffer is replayed)."""
+    from repro.harness.throughput import _test_stream
+
+    refs = json.loads((REFS / "stream_d10k.json").read_text())
+    assert refs["d"] == 10_000 and refs["n"] == 60_000
+    n = 20_000
+    want = [pair for pair in refs["streams"]["0"] if pair[0] <= n]
+    values, _ = _test_stream(refs["n"], 0)
+    cls = ClaSS(d=10_000)
+    emitted = [[i + 1, cp] for i, v in enumerate(values[:n])
+               for cp in cls.feed([v])]
+    assert emitted == want
+    assert len(want) == 9 and sum(fed == 10_000 for fed, _ in want) == 4

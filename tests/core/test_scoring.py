@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scoring import (cross_val_scores, cross_val_scores_naive,
-                                pred_thresholds, split_label_counts)
+from repro.core.scoring import (best_split, cross_val_scores,
+                                cross_val_scores_naive, pred_thresholds,
+                                split_label_counts)
 from repro.core.streaming_knn import StreamingKNN
 
 
@@ -15,8 +16,8 @@ from repro.core.streaming_knn import StreamingKNN
 def test_vectorised_equals_naive_f1(seed, k, m):
     rng = np.random.default_rng(seed)
     offs = rng.integers(-7, m, size=(m, k))
-    np.testing.assert_allclose(cross_val_scores(pred_thresholds(offs)),
-                               cross_val_scores_naive(offs), atol=1e-12)
+    assert np.array_equal(cross_val_scores(pred_thresholds(offs)),
+                          cross_val_scores_naive(offs))
 
 
 def test_sentinel_offsets_behave_as_class_zero():
@@ -29,8 +30,8 @@ def test_sentinel_offsets_behave_as_class_zero():
     a[::3, 0] = -1
     b = offs.copy()
     b[::3, 0] = np.iinfo(np.int64).min // 2
-    np.testing.assert_allclose(cross_val_scores(pred_thresholds(a)),
-                               cross_val_scores(pred_thresholds(b)))
+    assert np.array_equal(cross_val_scores(pred_thresholds(a)),
+                          cross_val_scores(pred_thresholds(b)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -38,8 +39,8 @@ def test_sentinel_offsets_behave_as_class_zero():
 def test_property_vectorised_equals_naive(seed, k, m):
     rng = np.random.default_rng(seed)
     offs = rng.integers(-m, m, size=(m, k))
-    np.testing.assert_allclose(cross_val_scores(pred_thresholds(offs)),
-                               cross_val_scores_naive(offs), atol=1e-12)
+    assert np.array_equal(cross_val_scores(pred_thresholds(offs)),
+                          cross_val_scores_naive(offs))
 
 
 def test_scores_bounded():
@@ -117,3 +118,86 @@ def test_degenerate_sizes():
         t = pred_thresholds(np.zeros((m, 3), dtype=int))
         assert cross_val_scores(t).size == size
 
+
+# ----------------------------------------------------------------------
+# best_split: the scoring step of one ClaSS update
+# ----------------------------------------------------------------------
+def _best_split_oracle(offs, lo, hi):
+    """The first maximum of the naive profile over ``[lo, hi]`` and the
+    predicted-label counts on each side of it, counted by brute force."""
+    profile = cross_val_scores_naive(offs)[lo - 1:hi]
+    s = lo + int(np.flatnonzero(profile == profile.max())[0])
+    zeros = (offs < s).sum(axis=1)
+    pred0 = zeros >= offs.shape[1] - zeros          # ties -> class 0
+    left = np.arange(len(offs)) < s
+    return (s, int(np.sum(pred0 & left)), int(np.sum(~pred0 & left)),
+            int(np.sum(pred0 & ~left)), int(np.sum(~pred0 & ~left)))
+
+
+def _offsets(rng, m, k):
+    """Neighbour offsets with egressed (negative) and unset entries."""
+    offs = rng.integers(-m // 2, m, size=(m, k))
+    offs[rng.random((m, k)) < 0.1] = StreamingKNN._UNSET
+    return offs
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("m", [12, 40, 90])
+def test_best_split_equals_oracle(seed, k, m):
+    rng = np.random.default_rng(seed)
+    offs = _offsets(rng, m, k)
+    t = pred_thresholds(offs)
+    for _ in range(10):
+        lo = int(rng.integers(1, m))
+        hi = int(rng.integers(lo, m))
+        assert best_split(t, lo, hi) == _best_split_oracle(offs, lo, hi)
+    assert best_split(t, 1, m - 1) == _best_split_oracle(offs, 1, m - 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_best_split_single_split_range(k):
+    """``lo == hi``: the split is ``lo`` and its counts are the directly
+    counted ones."""
+    rng = np.random.default_rng(k)
+    m = 30
+    offs = _offsets(rng, m, k)
+    t = pred_thresholds(offs)
+    for s in range(1, m):
+        got = best_split(t, s, s)
+        assert got == _best_split_oracle(offs, s, s)
+        assert got == (s, *split_label_counts(t, s))
+
+
+def test_best_split_takes_the_first_of_tied_maxima():
+    """Rows whose neighbours all sit at their own offset are classified
+    correctly by every split, so each split that none of a few shifted
+    rows spoils scores exactly 1: the profile repeats its maximum across
+    the range.  Row ``lo`` is shifted down, which spoils split ``lo``, so
+    the first maximum lies inside the range; the kernel must pick it."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m, k = int(rng.integers(30, 60)), int(rng.choice([1, 3, 5]))
+        lo = int(rng.integers(1, m // 4))
+        hi = int(rng.integers(3 * m // 4, m))
+        offs = np.repeat(np.arange(m)[:, None], k, axis=1)
+        offs[lo] -= 3
+        spoilt = rng.choice(m, size=2, replace=False)
+        offs[spoilt] += rng.integers(-4, 5, size=(2, k))
+        profile = cross_val_scores_naive(offs)[lo - 1:hi]
+        assert np.count_nonzero(profile == profile.max()) >= 2
+        got = best_split(pred_thresholds(offs), lo, hi)
+        assert got[0] > lo
+        assert got == _best_split_oracle(offs, lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 5]),
+       st.integers(2, 60))
+def test_property_best_split_equals_oracle(seed, k, m):
+    rng = np.random.default_rng(seed)
+    offs = _offsets(rng, m, k)
+    lo = int(rng.integers(1, m))
+    hi = int(rng.integers(lo, m))
+    assert best_split(pred_thresholds(offs), lo, hi) == \
+        _best_split_oracle(offs, lo, hi)

@@ -244,14 +244,16 @@ def _stats(s):
     return s._rows(s._wmu), s._rows(s._wsig), s._rows(s._flat)
 
 
-def test_stats_equal_numpy_after_egress_wrap_and_flat():
+@pytest.mark.parametrize("w, d", [(7, 50), (9, 50), (37, 120), (130, 300)])
+def test_stats_equal_numpy_after_egress_wrap_and_flat(w, d):
     """Each subsequence's mean and std, computed once when it enters the
     window, must stay those of its values while the window slides, the
     buffers wrap, and a flat stretch passes through: the stored
     ``w * mu`` and ``w * sig`` are ``w`` times ``np.mean``/``np.std``
-    bit for bit, and the flat flags and their count follow ``sig``."""
-    d, w = 50, 7
-    T = _with_flat_stretch(3 * d + 17, flat_at=125, flat_len=30)
+    bit for bit, and the flat flags and their count follow ``sig``.  The
+    widths cover numpy's summation paths: a plain loop (w < 8), eight
+    unrolled partial sums (w >= 8) and pairwise blocks (w > 128)."""
+    T = _with_flat_stretch(3 * d + 17, flat_at=5 * d // 2, flat_len=w + 23)
     s = StreamingKNN(d=d, w=w, k=3)
     wrapped = False
     for i, x in enumerate(T):
